@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import epr_source
 from .units import from_db, to_db
-
-SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -93,21 +92,10 @@ def output_matrix(state: EprState) -> np.ndarray:
     """Coefficients of the two EPR beams over the seed vacuum quadratures.
 
     Rows are (x_1, p_1, x_2, p_2), columns the unit-variance vacuum
-    operators (x1_0, p1_0, x2_0, p2_0) entering the two squeezers. Built
-    from the construction itself: scale the seeds, rotate beam 2 by
-    theta_e, then interfere as mode_1 = (b1 - b2)/sqrt(2),
-    mode_2 = (b1 + b2)/sqrt(2).
+    operators (x1_0, p1_0, x2_0, p2_0) entering the two squeezers: the
+    network's EPR stage applied to the identity.
     """
-    e_minus = math.exp(-state.params.r_minus)
-    e_plus = math.exp(state.params.r_plus)
-    c, s = math.cos(state.theta_e), math.sin(state.theta_e)
-    sq1 = np.diag([e_plus, e_minus])    # beam 1 seed: anti-squeezed x, squeezed p
-    sq2 = np.diag([e_minus, e_plus])    # beam 2 seed: squeezed x
-    rot = np.array([[c, s], [-s, c]])
-    b2 = rot @ sq2
-    beam1 = np.hstack([sq1, -b2]) / SQRT2
-    beam2 = np.hstack([sq1, +b2]) / SQRT2
-    return np.vstack([beam1, beam2])    # rows x1, p1, x2, p2
+    return np.array(epr_source(np.eye(4), state.params, state.theta_e))
 
 
 def _require_locked(state: EprState, what: str):

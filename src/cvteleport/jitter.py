@@ -3,8 +3,8 @@
 Four servo loops can each sit slightly off quadrature: the relative phase
 at the entangling beamsplitter (theta_e), the sender's two homodyne locks
 (theta_ax, theta_ap) and the receiver's displacement phase (theta_b). At
-fixed angles the chain stays Gaussian, so the exact output follows from a
-small coefficient table over the unit-variance inputs; averaging over slow
+fixed angles the chain stays Gaussian, so the exact output variance is a
+row of the network's transfer matrix squared and summed; averaging over slow
 zero-mean Gaussian jitter of the angles gives the quadratic expansion used
 in the noise budget. Angles are radians internally; use
 PhaseJitter.from_degrees at the interface.
@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epr import SqueezingParams
-from .teleporter import EfficiencyBudget, GainSettings, _sender_arm
-
-SQRT2 = math.sqrt(2.0)
+from .network import transfer_matrix
+from .teleporter import EfficiencyBudget, GainSettings, _chain_coefficients
 
 # quadratic expansion error grows as theta^4 past roughly this rms
 SMALL_ANGLE_LIMIT = 0.2
+_ANGLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -55,55 +55,24 @@ class PhaseJitter:
                    math.radians(theta_ap), math.radians(theta_b))
 
 
-def _coefficient_rows(squeezing, theta_e, theta_ax, theta_ap, theta_b):
-    # broadcastable coefficient expressions of sqrt(2)*x_out and sqrt(2)*p_out
-    # over (x1_0, p1_0, x2_0, p2_0, x_in, p_in); unit-gain lossless chain
-    em = math.exp(-squeezing.r_minus)
-    ep = math.exp(squeezing.r_plus)
-    ce, se = np.cos(theta_e), np.sin(theta_e)
-    cax, sax = np.cos(theta_ax), np.sin(theta_ax)
-    cap, sap = np.cos(theta_ap), np.sin(theta_ap)
-    cb, sb = np.cos(theta_b), np.sin(theta_b)
-    x_row = (
-        (cb - cax) * ep,
-        (sb - sax) * em,
-        (ce * (cb + cax) - se * (sb + sax)) * em,
-        (se * (cb + cax) + ce * (sb + sax)) * ep,
-        SQRT2 * cax,
-        SQRT2 * sax,
-    )
-    p_row = (
-        -(sb + sap) * ep,
-        (cb + cap) * em,
-        (se * (cap - cb) + ce * (sap - sb)) * em,
-        (se * (sap - sb) + ce * (cb - cap)) * ep,
-        SQRT2 * cap,
-        -SQRT2 * sap,
-    )
-    return x_row, p_row
-
-
-def output_coefficients(squeezing: SqueezingParams, theta_e: float = 0.0,
-                        theta_ax: float = 0.0, theta_ap: float = 0.0,
-                        theta_b: float = 0.0) -> np.ndarray:
-    """Exact coefficient table at fixed lock angles.
-
-    Returns a (2, 6) array: rows are sqrt(2)*x_out and sqrt(2)*p_out,
-    columns the unit-variance inputs (x1_0, p1_0, x2_0, p2_0, x_in, p_in).
-    """
-    x_row, p_row = _coefficient_rows(squeezing, theta_e, theta_ax, theta_ap, theta_b)
-    return np.array([x_row, p_row], dtype=float)
-
-
 def variance_at_angles(squeezing: SqueezingParams, theta_e=0.0, theta_ax=0.0,
                        theta_ap=0.0, theta_b=0.0, quad: str = "x"):
-    """Exact output variance at fixed lock angles; broadcasts over angle arrays."""
-    x_row, p_row = _coefficient_rows(squeezing, theta_e, theta_ax, theta_ap, theta_b)
-    row = x_row if quad == "x" else p_row
+    """Exact output variance at fixed lock angles, ideal chain at unit gain:
+    the squared norm of the x_out or p_out row of the transfer matrix.
+    Broadcasts over angle arrays."""
     if quad not in ("x", "p"):
         raise ValueError(f"quad must be 'x' or 'p', got {quad!r}")
-    total = sum(c * c for c in row)
-    return 0.5 * total
+    thetas = np.broadcast_arrays(*(np.asarray(theta, dtype=float)
+                                   for theta in (theta_e, theta_ax, theta_ap, theta_b)))
+    flat = [theta.ravel() for theta in thetas]
+    out = np.empty(flat[0].size)
+    # a block of angles at a time bounds the (block, 4, 18) matrix stack
+    for start in range(0, out.size, _ANGLE_BLOCK):
+        block = tuple(theta[start:start + _ANGLE_BLOCK] for theta in flat)
+        t = transfer_matrix(squeezing, EfficiencyBudget.ideal(), GainSettings(), block)
+        row = t[:, 2 if quad == "x" else 3, :]
+        out[start:start + _ANGLE_BLOCK] = (row * row).sum(axis=-1)
+    return out.reshape(thetas[0].shape)[()]
 
 
 def _jitter_weight(jitter: PhaseJitter, quad: str) -> float:
@@ -163,16 +132,7 @@ def victor_variance_lossy_jitter(squeezing: SqueezingParams,
         gains = GainSettings()
     if jitter is None:
         jitter = PhaseJitter()
-    g = gains.g_x if quad == "x" else gains.g_p
-    xi_a, eta_a = _sender_arm(budget, quad)
-    if xi_a == 0.0 or eta_a == 0.0:
-        raise ValueError(f"sender {quad} arm has zero efficiency, variance diverges")
-    epr = budget.r_b * budget.xi4 * budget.xi5 * budget.eta_v
-    sig = g * budget.xi1
-    base = (1.0 - epr * epr - sig * sig
-            + 2.0 * g * g / (xi_a * xi_a * eta_a * eta_a))
-    c_minus = 0.5 * (sig + epr) ** 2
-    c_plus = 0.5 * (sig - epr) ** 2
+    base, c_minus, c_plus = _chain_coefficients(budget, gains, quad)
     shift = 0.5 * _jitter_weight(jitter, quad) * c_minus
     return (base + (c_minus - shift) * squeezing.sigma_minus
             + (c_plus + shift) * squeezing.sigma_plus)

@@ -1,20 +1,10 @@
 """Monte Carlo phase-space simulation of the full chain.
 
 Every vacuum port of the optical train is drawn per shot as an independent
-unit-variance Gaussian and the scalar quadrature samples are pushed through
-squeezers, beamsplitters, lossy detection and the feedforward displacement.
-Wigner sampling is exact for this linear chain, so the estimates converge
-on the closed forms in teleporter/jitter and serve as their independent
-oracle.
-
-Conventions mirrored from the closed forms:
-- the mode-overlap xi1 attenuates EPR beam 1 (not the input signal); this
-  is the placement that reproduces the chain variance term-by-term, with
-  the input entering at weight g and the EPR beam at g*xi1;
-- the receiver's displacement beamsplitter (r_b, t_b) carries an explicit
-  third vacuum port sqrt(1 - r_b^2 - t_b^2) so the channel is
-  trace-preserving for any r_b^2 + t_b^2 <= 1;
-- jitter angles are resampled per shot (quasi-static servo fluctuations).
+unit-variance Gaussian and pushed through the optical network (see
+network.py for the port order and the conventions). Wigner sampling is
+exact for this linear chain, so the estimates converge on the closed forms
+in teleporter/jitter and serve as their independent oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +16,7 @@ import numpy as np
 
 from .epr import SqueezingParams
 from .jitter import PhaseJitter, victor_variance_jitter
+from .network import LOCKED, PORTS, push
 from .teleporter import (
     CoherentAmplitude,
     EfficiencyBudget,
@@ -34,7 +25,6 @@ from .teleporter import (
     victor_variance,
 )
 
-SQRT2 = math.sqrt(2.0)
 _CHUNK = 1 << 18
 
 
@@ -83,33 +73,9 @@ class ChainEstimates:
         return self.mean_v_x.value ** 2 + self.mean_v_p.value ** 2
 
 
-def _displacements(config: ChainConfig) -> tuple[float, float]:
-    # displacement strength t_b * g0 per quadrature, expressed through the
-    # normalized gain; finite even in the ideal t_b -> 0 limit
-    b = config.budget
-    den_x = b.xi2 * b.xi5 * b.eta_ax * b.eta_v
-    den_p = b.xi3 * b.xi5 * b.eta_ap * b.eta_v
-    if den_x == 0.0 or den_p == 0.0:
-        raise ValueError("zero efficiency in the feedforward path, gain undefined")
-    return SQRT2 * config.gains.g_x / den_x, SQRT2 * config.gains.g_p / den_p
-
-
 def simulate_chain(config: ChainConfig) -> ChainEstimates:
     """Run the chain and estimate variances and means at both stations."""
-    b = config.budget
-    disp_x, disp_p = _displacements(config)
-    leak1 = math.sqrt(max(0.0, 1.0 - b.xi1 ** 2))
-    ax_t = b.xi2 * b.eta_ax
-    ap_t = b.xi3 * b.eta_ap
-    ax_leak = math.sqrt(max(0.0, 1.0 - ax_t ** 2))
-    ap_leak = math.sqrt(max(0.0, 1.0 - ap_t ** 2))
-    leak4 = math.sqrt(max(0.0, 1.0 - b.xi4 ** 2))
-    v_t = b.xi5 * b.eta_v
-    v_leak = math.sqrt(max(0.0, 1.0 - v_t ** 2))
-    bob_extra = math.sqrt(max(0.0, 1.0 - b.r_b ** 2 - b.t_b ** 2))
-    e_minus = math.exp(-config.squeezing.r_minus)
-    e_plus = math.exp(config.squeezing.r_plus)
-    mx, mp = config.input.mean_x, config.input.mean_p
+    mean = (config.input.mean_x, config.input.mean_p)
     jit = config.jitter
 
     rng = np.random.default_rng(config.seed)
@@ -120,59 +86,15 @@ def simulate_chain(config: ChainConfig) -> ChainEstimates:
     while remaining > 0:
         n = min(_CHUNK, remaining)
         remaining -= n
-        z = rng.standard_normal((18, n))
-        (x1_0, p1_0, x2_0, p2_0, in_x, in_p, w1x, w1p, n2, n3,
-         w4x, w4p, wbx, wbp, wex, wep, w5x, w5p) = z
+        z = rng.standard_normal((PORTS, n))
+        angles = LOCKED
         if jit is not None:
             ang = rng.standard_normal((4, n))
-            te = jit.theta_e_rms * ang[0]
-            tax = jit.theta_ax_rms * ang[1]
-            tap = jit.theta_ap_rms * ang[2]
-            tb = jit.theta_b_rms * ang[3]
-            ce, se = np.cos(te), np.sin(te)
-            cax, sax = np.cos(tax), np.sin(tax)
-            cap, sap = np.cos(tap), np.sin(tap)
-            cb, sb = np.cos(tb), np.sin(tb)
-        else:
-            ce = cax = cap = cb = 1.0
-            se = sax = sap = sb = 0.0
-
-        # squeezers and entangling beamsplitter (beam 2 rotated by theta_e)
-        x1s = e_plus * x1_0
-        p1s = e_minus * p1_0
-        x2s = e_minus * x2_0
-        p2s = e_plus * p2_0
-        x2rot = ce * x2s + se * p2s
-        p2rot = ce * p2s - se * x2s
-        x1 = (x1s - x2rot) / SQRT2
-        p1 = (p1s - p2rot) / SQRT2
-        x2 = (x1s + x2rot) / SQRT2
-        p2 = (p1s + p2rot) / SQRT2
-
-        # sender: EPR beam 1 overlap, balanced mixing with the input,
-        # homodyne lock angles, arm efficiencies
-        x1l = b.xi1 * x1 + leak1 * w1x
-        p1l = b.xi1 * p1 + leak1 * w1p
-        xu = (mx + in_x - x1l) / SQRT2
-        pu = (mp + in_p - p1l) / SQRT2
-        xv = (mx + in_x + x1l) / SQRT2
-        pv = (mp + in_p + p1l) / SQRT2
-        i_x = ax_t * (cax * xu + sax * pu) + ax_leak * n2
-        i_p = ap_t * (cap * pv - sap * xv) + ap_leak * n3
-
-        # receiver: EPR beam 2 propagation, displacement phase, splitter
-        x2l = b.xi4 * x2 + leak4 * w4x
-        p2l = b.xi4 * p2 + leak4 * w4p
-        x2b = cb * x2l + sb * p2l
-        p2b = cb * p2l - sb * x2l
-        x_bob = b.r_b * x2b + disp_x * i_x + b.t_b * wbx + bob_extra * wex
-        p_bob = b.r_b * p2b + disp_p * i_p + b.t_b * wbp + bob_extra * wep
-
-        # verifier chain
-        x_out = v_t * x_bob + v_leak * w5x
-        p_out = v_t * p_bob + v_leak * w5p
-
-        for k, series in enumerate((i_x, i_p, x_out, p_out)):
+            angles = (jit.theta_e_rms * ang[0], jit.theta_ax_rms * ang[1],
+                      jit.theta_ap_rms * ang[2], jit.theta_b_rms * ang[3])
+        outputs = push(z, config.squeezing, config.budget, config.gains,
+                       angles, mean)
+        for k, series in enumerate(outputs):
             s1[k] += series.sum()
             s2[k] += (series * series).sum()
 
@@ -221,31 +143,3 @@ def closed_form_reference(config: ChainConfig) -> dict:
         ref["sigma_v_x"] = victor_variance_jitter(config.squeezing, config.jitter, "x")
         ref["sigma_v_p"] = victor_variance_jitter(config.squeezing, config.jitter, "p")
     return ref
-
-
-def sweep(configs) -> list[dict]:
-    """Estimates and closed-form references side by side, one row per config."""
-    rows = []
-    for index, config in enumerate(configs):
-        est = simulate_chain(config)
-        ref = closed_form_reference(config)
-        rows.append({
-            "index": index,
-            "samples": config.samples,
-            "seed": config.seed,
-            "est_sigma_v_x": est.sigma_v_x.value,
-            "se_sigma_v_x": est.sigma_v_x.stderr,
-            "ref_sigma_v_x": ref["sigma_v_x"],
-            "est_sigma_v_p": est.sigma_v_p.value,
-            "se_sigma_v_p": est.sigma_v_p.stderr,
-            "ref_sigma_v_p": ref["sigma_v_p"],
-            "est_sigma_a_x": est.sigma_a_x.value,
-            "se_sigma_a_x": est.sigma_a_x.stderr,
-            "ref_sigma_a_x": ref["sigma_a_x"],
-            "est_sigma_a_p": est.sigma_a_p.value,
-            "se_sigma_a_p": est.sigma_a_p.stderr,
-            "ref_sigma_a_p": ref["sigma_a_p"],
-            "est_mean_v_x": est.mean_v_x.value,
-            "est_mean_v_p": est.mean_v_p.value,
-        })
-    return rows

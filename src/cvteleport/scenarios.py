@@ -756,7 +756,8 @@ def _run_oracle_grid(p: OracleGridParams, opt: RunOptions) -> ScenarioResult:
                 continue
             estimate = getattr(est, key)
             z = (estimate.value - reference) / estimate.stderr
-            ok = abs(z) <= 3.0
+            # an infinite stderr (N = 1) makes every z 0; that is no agreement
+            ok = math.isfinite(estimate.stderr) and abs(z) <= 3.0
             compared += 1
             within += ok
             rows.append((label, key, estimate.value, estimate.stderr,

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .epr import SqueezingParams
+from .network import feedforward_transmissions
 from .units import from_db, to_db
 
 SQRT2 = math.sqrt(2.0)
@@ -102,17 +103,6 @@ class GainSettings:
         if self.g_x < 0.0 or self.g_p < 0.0:
             raise ValueError("normalized gains must be >= 0")
 
-    @classmethod
-    def normalized(cls, budget: EfficiencyBudget, g_x: float = 1.0, g_p: float = 1.0):
-        """Gains with the raw device values derived for this budget."""
-        if budget.t_b == 0.0:
-            return cls(g_x, g_p)
-        den_x = budget.t_b * budget.xi2 * budget.xi5 * budget.eta_ax * budget.eta_v
-        den_p = budget.t_b * budget.xi3 * budget.xi5 * budget.eta_ap * budget.eta_v
-        if den_x == 0.0 or den_p == 0.0:
-            raise ValueError("raw gain undefined for a chain with a zero efficiency")
-        return cls(g_x, g_p, SQRT2 * g_x / den_x, SQRT2 * g_p / den_p)
-
 
 def normalize_gain(budget: EfficiencyBudget, g0_ideal: float) -> GainSettings:
     """Raw-gain correction keeping the displacement calibrated on a lossy chain.
@@ -123,10 +113,7 @@ def normalize_gain(budget: EfficiencyBudget, g0_ideal: float) -> GainSettings:
     per quadrature for the verifier to see the same normalized gain; with
     g = 1 the output amplitude equals the input amplitude.
     """
-    den_x = budget.xi2 * budget.xi5 * budget.eta_ax * budget.eta_v
-    den_p = budget.xi3 * budget.xi5 * budget.eta_ap * budget.eta_v
-    if den_x == 0.0 or den_p == 0.0:
-        raise ValueError("gain normalization undefined for a chain with a zero efficiency")
+    den_x, den_p = feedforward_transmissions(budget)
     g = g0_ideal * budget.t_b / SQRT2
     return GainSettings(g_x=g, g_p=g, g_x0=g0_ideal / den_x, g_p0=g0_ideal / den_p)
 
@@ -137,6 +124,20 @@ def _sender_arm(budget: EfficiencyBudget, quad: str):
     if quad == "p":
         return budget.xi3, budget.eta_ap
     raise ValueError(f"quad must be 'x' or 'p', got {quad!r}")
+
+
+def _chain_coefficients(budget: EfficiencyBudget, gains: GainSettings, quad: str):
+    """(base, c_minus, c_plus) of the verifier variance
+    base + c_minus * sigma_minus + c_plus * sigma_plus."""
+    g = gains.g_x if quad == "x" else gains.g_p
+    xi_a, eta_a = _sender_arm(budget, quad)
+    if xi_a == 0.0 or eta_a == 0.0:
+        raise ValueError(f"sender {quad} arm has zero efficiency, variance diverges")
+    epr = budget.r_b * budget.xi4 * budget.xi5 * budget.eta_v
+    sig = g * budget.xi1
+    base = (1.0 - epr * epr - sig * sig
+            + 2.0 * g * g / (xi_a * xi_a * eta_a * eta_a))
+    return base, 0.5 * (sig + epr) ** 2, 0.5 * (sig - epr) ** 2
 
 
 def victor_variance(squeezing: SqueezingParams, budget: EfficiencyBudget,
@@ -151,16 +152,8 @@ def victor_variance(squeezing: SqueezingParams, budget: EfficiencyBudget,
     """
     if gains is None:
         gains = GainSettings()
-    g = gains.g_x if quad == "x" else gains.g_p
-    xi_a, eta_a = _sender_arm(budget, quad)
-    if xi_a == 0.0 or eta_a == 0.0:
-        raise ValueError(f"sender {quad} arm has zero efficiency, variance diverges")
-    epr = budget.r_b * budget.xi4 * budget.xi5 * budget.eta_v
-    sig = g * budget.xi1
-    return (1.0 - epr * epr - sig * sig
-            + 2.0 * g * g / (xi_a * xi_a * eta_a * eta_a)
-            + 0.5 * squeezing.sigma_minus * (sig + epr) ** 2
-            + 0.5 * squeezing.sigma_plus * (sig - epr) ** 2)
+    base, c_minus, c_plus = _chain_coefficients(budget, gains, quad)
+    return base + c_minus * squeezing.sigma_minus + c_plus * squeezing.sigma_plus
 
 
 def alice_variance(squeezing: SqueezingParams, budget: EfficiencyBudget,
@@ -296,17 +289,11 @@ def squeezing_from_victor_variance(sigma_v: float, budget: EfficiencyBudget,
     """
     if gains is None:
         gains = GainSettings()
-    g = gains.g_x if quad == "x" else gains.g_p
-    xi_a, eta_a = _sender_arm(budget, quad)
-    epr = budget.r_b * budget.xi4 * budget.xi5 * budget.eta_v
-    sig = g * budget.xi1
-    base = (1.0 - epr * epr - sig * sig
-            + 2.0 * g * g / (xi_a * xi_a * eta_a * eta_a))
+    base, c_minus, c_plus = _chain_coefficients(budget, gains, quad)
     sigma_plus = math.exp(2.0 * r_plus)
-    weight_minus = 0.5 * (sig + epr) ** 2
-    if weight_minus == 0.0:
+    if c_minus == 0.0:
         raise ValueError("chain carries no EPR correlation, cannot infer squeezing")
-    sigma_minus = (sigma_v - base - 0.5 * sigma_plus * (sig - epr) ** 2) / weight_minus
+    sigma_minus = (sigma_v - base - c_plus * sigma_plus) / c_minus
     if not 0.0 < sigma_minus <= 1.0:
         raise ValueError(
             f"measured variance {sigma_v!r} implies squeezed variance "
@@ -325,14 +312,6 @@ class SpectralDensities:
     alice_p: float
     victor_x: float
     victor_p: float
-
-    @property
-    def alice_x_db(self) -> float:
-        return to_db(self.alice_x)
-
-    @property
-    def victor_x_db(self) -> float:
-        return to_db(self.victor_x)
 
 
 def spectral_densities(beta_in: CoherentAmplitude, squeezing: SqueezingParams,

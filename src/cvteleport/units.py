@@ -60,9 +60,3 @@ def invert_loss_channel(variance: float, transmission: float) -> float:
         )
     return inverted
 
-
-def correlation_time(linewidth_hwhm: float) -> float:
-    """Field correlation time 1/(2*pi*HWHM) of a Lorentzian line, seconds."""
-    if linewidth_hwhm <= 0.0:
-        raise ValueError(f"linewidth must be positive, got {linewidth_hwhm!r}")
-    return 1.0 / (2.0 * math.pi * linewidth_hwhm)

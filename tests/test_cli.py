@@ -75,6 +75,13 @@ def test_check_failure_sets_exit_code(capsys):
     assert out.startswith("quantity,")  # table still emitted
 
 
+def test_single_sample_oracle_grid_fails(capsys):
+    # one shot has an infinite standard error: no cell can count as agreeing
+    code, _, err = run_cli(["run", "oracle-grid", "--samples", "1"], capsys)
+    assert code == 1
+    assert "FAIL" in err
+
+
 def test_config_file_runs_preset(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# reference backprop point\n"

@@ -6,8 +6,7 @@ import pytest
 
 from cvteleport.epr import SqueezingParams
 from cvteleport.jitter import PhaseJitter, victor_variance_jitter
-from cvteleport.oracle import ChainConfig, closed_form_reference, simulate_chain, \
-    sweep
+from cvteleport.oracle import ChainConfig, closed_form_reference, simulate_chain
 from cvteleport.teleporter import CoherentAmplitude, EfficiencyBudget, \
     GainSettings, alice_variance, victor_variance
 
@@ -104,18 +103,6 @@ def test_closed_form_reference_selection():
     # no closed form once jitter rides on a lossy chain
     both = ChainConfig(squeezing=sq, budget=AS_BUILT, jitter=jit)
     assert closed_form_reference(both)["sigma_v_x"] is None
-
-
-def test_sweep_structure():
-    assert sweep([]) == []
-    configs = [ChainConfig(samples=20_000, seed=1),
-               ChainConfig(samples=20_000, seed=2)]
-    table = sweep(configs)
-    assert [row["index"] for row in table] == [0, 1]
-    for row in table:
-        assert row["est_sigma_v_x"] > 0.0
-        assert row["se_sigma_v_x"] > 0.0
-        assert row["ref_sigma_v_x"] == 3.0
 
 
 def test_config_validation():

@@ -79,10 +79,6 @@ def test_gain_normalization_roundtrip():
     unit_device = math.sqrt(2.0) / AS_BUILT.t_b
     assert normalize_gain(AS_BUILT, unit_device).g_x == pytest.approx(1.0,
                                                                       rel=1e-12)
-    derived = GainSettings.normalized(AS_BUILT)
-    assert derived.g_x == 1.0
-    assert derived.g_x0 == pytest.approx(unit_device * 1.0327227497771643,
-                                         rel=1e-12)
 
 
 def test_alice_variance():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvteleport.units import VACUUM_VARIANCE, correlation_time, from_db, \
-    invert_loss_channel, loss_channel, to_db
+from cvteleport.units import VACUUM_VARIANCE, from_db, invert_loss_channel, \
+    loss_channel, to_db
 
 
 def test_vacuum_convention():
@@ -74,10 +74,3 @@ def test_invert_rejects_sub_vacuum_floor():
     # 0.2 is below the 0.75 vacuum share a t=0.5 channel must leave behind
     with pytest.raises(ValueError):
         invert_loss_channel(0.2, 0.5)
-
-
-def test_correlation_time():
-    assert correlation_time(5.4e6) == pytest.approx(2.947313760961025e-08,
-                                                    rel=1e-12)
-    with pytest.raises(ValueError):
-        correlation_time(0.0)
