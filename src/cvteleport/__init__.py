@@ -4,23 +4,20 @@ an exact phase-space Monte Carlo of the same chain, squeezer spectra, and a
 catalog of reference scenarios with pinned expected values."""
 
 from .epr import EprState, SqueezingParams
-from .jitter import PhaseJitter, victor_lo_scan, victor_variance_jitter, \
-    victor_variance_lossy_jitter
+from .jitter import PhaseJitter, victor_lo_scan, victor_variance_jitter
 from .opo import BliiraTable, DetectionChain, OpoParams, back_propagate_to_epr, \
     double_pump_debit, parametric_gain, squeezing_vs_pump, threshold
 from .oracle import ChainConfig, closed_form_reference, simulate_chain
 from .scenarios import RunOptions, list_presets, run_preset
-from .teleporter import BobField, CoherentAmplitude, EfficiencyBudget, \
-    GainSettings, SpectralDensities, alice_variance, bob_field_variance, fidelity, \
-    normalize_gain, spectral_densities, squeezing_from_victor_variance, \
-    victor_to_bob_field, victor_variance
+from .teleporter import CoherentAmplitude, EfficiencyBudget, GainSettings, \
+    SpectralDensities, alice_variance, bob_field_variance, fidelity, \
+    spectral_densities, squeezing_from_victor_variance, victor_variance
 from .units import VACUUM_VARIANCE, from_db, loss_channel, to_db
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BliiraTable",
-    "BobField",
     "ChainConfig",
     "CoherentAmplitude",
     "DetectionChain",
@@ -43,7 +40,6 @@ __all__ = [
     "from_db",
     "list_presets",
     "loss_channel",
-    "normalize_gain",
     "parametric_gain",
     "run_preset",
     "simulate_chain",
@@ -53,8 +49,6 @@ __all__ = [
     "threshold",
     "to_db",
     "victor_lo_scan",
-    "victor_to_bob_field",
     "victor_variance",
     "victor_variance_jitter",
-    "victor_variance_lossy_jitter",
 ]

@@ -6,6 +6,13 @@ CSV to stdout or --out. Check results go to stderr so the CSV stream stays
 clean. Exit status: 0 when every check passes, 1 on a check failure, 2 on
 usage, config or parameter errors.
 
+A config file holds key=value lines (see configfile). Its reserved keys are
+`preset` and `seed`; every other line is a parameter override, exactly as
+`--set KEY=VALUE`. `--samples N` and `--oracle` are shorthand for
+`--set samples=N` and `--set oracle=true`, so only presets with those
+parameters accept them. Overrides apply in the order config file, --set,
+then the shorthand flags, so flags win.
+
 Output is deterministic: the same scenario, seed and sample count produce
 byte-identical CSV. Floats are written with '.' decimals at 10 significant
 digits, fields are comma separated and rows end with a bare linefeed.
@@ -19,8 +26,7 @@ import os
 import sys
 
 from .configfile import load_config
-from .scenarios import RunOptions, ScenarioResult, get_preset, list_presets, \
-    run_preset
+from .scenarios import RunOptions, ScenarioResult, list_presets, run_preset
 
 DEFAULT_SEED = 12345
 
@@ -70,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "containing preset=<name>")
     run.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed for sampled columns (default {DEFAULT_SEED})")
-    run.add_argument("--samples", type=int, default=None,
-                     help="sample count for Monte Carlo columns")
+    run.add_argument("--samples", default=None, metavar="N",
+                     help="shorthand for --set samples=N")
     run.add_argument("--oracle", action="store_true",
-                     help="add Monte Carlo columns where the preset supports them")
+                     help="shorthand for --set oracle=true")
     run.add_argument("--out", default=None, help="write CSV here instead of stdout")
     run.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="KEY=VALUE",
@@ -95,46 +101,33 @@ def _cmd_list() -> int:
 def _cmd_run(args) -> int:
     overrides: dict = {}
     seed = DEFAULT_SEED
-    samples = None
-    oracle = False
 
     if os.path.isfile(args.scenario):
-        config = load_config(args.scenario)
-        name = config.pop("preset", None)
+        overrides = load_config(args.scenario)
+        name = overrides.pop("preset", None)
         if name is None:
             raise ValueError(f"{args.scenario}: config file must set preset=<name>")
-        try:
-            if "seed" in config:
-                seed = int(config.pop("seed"))
-            if "samples" in config:
-                samples = int(config.pop("samples"))
-        except ValueError:
-            raise ValueError(f"{args.scenario}: seed and samples must be integers")
-        if "oracle" in config:
-            oracle = config.pop("oracle").lower() in ("1", "true", "yes", "on")
-        overrides.update(config)
+        if "seed" in overrides:
+            try:
+                seed = int(overrides.pop("seed"))
+            except ValueError:
+                raise ValueError(f"{args.scenario}: seed must be an integer") from None
     else:
         name = args.scenario
 
-    preset = get_preset(name)
     for item in args.overrides:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key] = value
-
+    if args.samples is not None:
+        overrides["samples"] = args.samples
+    if args.oracle:
+        overrides["oracle"] = "true"
     if args.seed is not None:
         seed = args.seed
-    if args.samples is not None:
-        samples = args.samples
-    if args.oracle:
-        oracle = True
-    if oracle and not preset.oracle:
-        sys.stderr.write(f"note: scenario {name!r} has no Monte Carlo columns, "
-                         "--oracle ignored\n")
 
-    result = run_preset(name, RunOptions(seed=seed, samples=samples, oracle=oracle),
-                        overrides)
+    result = run_preset(name, RunOptions(seed=seed), overrides)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as stream:
@@ -155,11 +148,12 @@ def main(argv=None) -> int:
         if args.command == "list":
             return _cmd_list()
         return _cmd_run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except ArithmeticError as exc:
+        sys.stderr.write(f"error: parameters outside the model's numeric range "
+                         f"({exc})\n")
         return 2
 
 

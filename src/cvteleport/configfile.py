@@ -2,8 +2,8 @@
 
 One assignment per line; `#` starts a comment, blank lines are skipped.
 Dotted keys address nested preset parameters, e.g. `budget.xi1=0.986`.
-The reserved keys `preset`, `seed` and `samples` select the scenario and
-its run options; everything else is a parameter override.
+The reserved keys `preset` and `seed` select the scenario and its seed;
+everything else, `samples` and `oracle` included, is a parameter override.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import numpy as np
 
 from .epr import SqueezingParams
 from .network import transfer_matrix
-from .teleporter import EfficiencyBudget, GainSettings, _chain_coefficients
+from .teleporter import EfficiencyBudget, GainSettings
 
 # quadratic expansion error grows as theta^4 past roughly this rms
 SMALL_ANGLE_LIMIT = 0.2
@@ -112,27 +112,3 @@ def victor_lo_scan(squeezing: SqueezingParams, jitter: PhaseJitter, theta_v):
     out = sx * np.cos(tv) ** 2 + sp * np.sin(tv) ** 2
     return float(out) if out.ndim == 0 else out
 
-
-def victor_variance_lossy_jitter(squeezing: SqueezingParams,
-                                 budget: EfficiencyBudget,
-                                 gains: GainSettings | None = None,
-                                 jitter: PhaseJitter | None = None,
-                                 quad: str = "x") -> float:
-    """Approximate combination of the loss budget with lock jitter.
-
-    The jitter average transfers fraction w/2 of the squeezed-quadrature
-    weight of the lossy-chain variance onto the anti-squeezed one. This is
-    exact in both limits (zero jitter, or ideal chain at unit gain); in
-    between it neglects jitter acting on the loss-port vacua, a correction
-    of second order on top of second order. Not a closed form from the
-    noise-budget derivation itself; the Monte Carlo chain is the reference
-    for the combined case.
-    """
-    if gains is None:
-        gains = GainSettings()
-    if jitter is None:
-        jitter = PhaseJitter()
-    base, c_minus, c_plus = _chain_coefficients(budget, gains, quad)
-    shift = 0.5 * _jitter_weight(jitter, quad) * c_minus
-    return (base + (c_minus - shift) * squeezing.sigma_minus
-            + (c_plus + shift) * squeezing.sigma_plus)

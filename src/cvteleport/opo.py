@@ -48,15 +48,6 @@ class BliiraTable:
     def flat(cls, loss: float):
         return cls((0.0,), (loss,))
 
-    @classmethod
-    def from_file(cls, path):
-        """Two-column numeric text file: pump_W, loss_fraction."""
-        data = np.loadtxt(path, ndmin=2)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ValueError(f"{path}: expected two columns (pump_W, loss_fraction)")
-        return cls(tuple(float(v) for v in data[:, 0]),
-                   tuple(float(v) for v in data[:, 1]))
-
 
 @dataclass(frozen=True)
 class OpoParams:

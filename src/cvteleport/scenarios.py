@@ -3,7 +3,9 @@
 Each preset maps a typed parameter bundle to a table plus optional
 pass/fail checks, so the command line, the test suite and interactive use
 share one code path. Parameter bundles are plain frozen dataclasses;
-overrides address fields with dotted keys (`budget.xi1=0.986`).
+overrides address fields with dotted keys (`budget.xi1=0.986`). Sample
+counts and the Monte Carlo switch are parameters like any other, so
+`apply_overrides` is the one place that turns text into a run input.
 
 Expected values carry a provenance tag: "experiment" for numbers read off
 the reference measurements, "model" for values the noise budget predicts,
@@ -13,7 +15,7 @@ the reference measurements, "model" for values the noise budget predicts,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -63,8 +65,6 @@ def pure_squeezing(degree_db: float) -> SqueezingParams:
 @dataclass(frozen=True)
 class RunOptions:
     seed: int = 12345
-    samples: int | None = None
-    oracle: bool = False
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,23 @@ class Preset:
     description: str
     params_type: type
     runner: object
-    oracle: bool = False  # whether --oracle adds Monte Carlo columns
 
 
 def _status(*checks: Check) -> str:
     return "pass" if all(c.passed for c in checks) else "fail"
 
 
+def _holds_everywhere(name: str, holds: list, source: str) -> Check:
+    """1 when the condition holds at every point; an empty set fails."""
+    return Check(name, 1.0 if holds and all(holds) else 0.0, 1.0, 0.0, source)
+
+
 # --- parameter overrides ---
 
 def _coerce(raw: str, current, key: str):
+    """Parse one override. Every int parameter is a count (points or
+    samples), so it must be at least 1; floats must be finite, and tuples
+    non-empty lists of finite floats."""
     kind = type(current)
     try:
         if kind is bool:
@@ -119,13 +126,18 @@ def _coerce(raw: str, current, key: str):
                 return False
             raise ValueError(f"expected a boolean, got {raw!r}")
         if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+            value = int(raw)
+            if value < 1:
+                raise ValueError(f"expected a count of at least 1, got {value}")
+            return value
         if kind is str:
             return raw
-        if kind is tuple:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
+        if kind in (float, tuple):
+            parts = raw.split(",") if kind is tuple else [raw]
+            values = tuple(float(part) for part in parts if part.strip())
+            if not values or not all(math.isfinite(v) for v in values):
+                raise ValueError(f"expected finite numbers, got {raw!r}")
+            return values if kind is tuple else values[0]
     except ValueError as exc:
         raise ValueError(f"bad value for {key!r}: {exc}") from None
     raise ValueError(f"cannot override {key!r} of type {kind.__name__} from text")
@@ -162,16 +174,17 @@ class Fig2Params:
     stop_db: float = 10.0
     points: int = 41
     budget: EfficiencyBudget = BUDGET_BEST
+    oracle: bool = False  # add Monte Carlo columns
+    samples: int = 100_000
 
 
 def _run_fig2(p: Fig2Params, opt: RunOptions) -> ScenarioResult:
     columns = ["squeezing_db", "victor_ideal_db", "alice_ideal_db",
                "victor_db", "alice_db"]
-    if opt.oracle:
+    if p.oracle:
         columns += ["victor_mc_db", "victor_mc_se", "alice_mc_db", "alice_mc_se"]
     ideal = EfficiencyBudget.ideal()
     gains = GainSettings()
-    samples = opt.samples or 100_000
     rows = []
     for i, s_db in enumerate(np.linspace(p.start_db, p.stop_db, p.points)):
         sq = pure_squeezing(float(s_db))
@@ -180,9 +193,9 @@ def _run_fig2(p: Fig2Params, opt: RunOptions) -> ScenarioResult:
                to_db(alice_variance(sq, ideal, "x")),
                to_db(victor_variance(sq, p.budget, gains, "x")),
                to_db(alice_variance(sq, p.budget, "x"))]
-        if opt.oracle:
+        if p.oracle:
             est = simulate_chain(ChainConfig(squeezing=sq, budget=p.budget,
-                                             gains=gains, samples=samples,
+                                             gains=gains, samples=p.samples,
                                              seed=opt.seed + i))
             # stderr is linear; delta method keeps the se columns in dB
             row += [to_db(est.sigma_v_x.value),
@@ -316,6 +329,8 @@ class OpoGainParams:
 def _run_opo_gain(p: OpoGainParams, opt: RunOptions) -> ScenarioResult:
     opo = OpoParams(t_coupler=p.t_coupler, e_nl=p.e_nl, l_passive=p.l_passive,
                     bliira=BliiraTable.flat(p.flat_extra_loss))
+    if p.step_mw <= 0.0:
+        raise ValueError(f"step_mw must be > 0, got {p.step_mw!r}")
     pumps = np.arange(0.0, p.pump_max_mw + 1e-9, p.step_mw) * 1e-3
     rows = []
     gains = []
@@ -330,9 +345,8 @@ def _run_opo_gain(p: OpoGainParams, opt: RunOptions) -> ScenarioResult:
         Check("oscillation threshold (mW)", p_t * 1e3, 171.0, 1.0, "formula"),
         Check("parametric gain at quarter threshold", parametric_gain(opo, p_t / 4.0),
               4.0, 1e-9, "formula"),
-        Check("gain monotone increasing with pump",
-              1.0 if all(b > a for a, b in zip(gains, gains[1:])) else 0.0,
-              1.0, 0.0, "formula"),
+        _holds_everywhere("gain monotone increasing with pump",
+                          [b > a for a, b in zip(gains, gains[1:])], "formula"),
         Check("escape efficiency at full loss", escape_efficiency(opo, p_t / 2.0),
               p.t_coupler / (p.t_coupler + p.l_passive + p.flat_extra_loss),
               1e-12, "formula"),
@@ -377,9 +391,8 @@ def _run_fig10(p: Fig10Params, opt: RunOptions) -> ScenarioResult:
         Check("high-pump squeezing level (dB)", minus[-1], -5.25, 1.75, "model"),
         Check("squeezing saturates at high pump (dB change 100 mW to max)",
               abs(minus[-1] - minus[mid]), 0.0, 0.8, "model"),
-        Check("anti-squeezing monotone increasing with pump",
-              1.0 if all(b > a for a, b in zip(plus, plus[1:])) else 0.0,
-              1.0, 0.0, "formula"),
+        _holds_everywhere("anti-squeezing monotone increasing with pump",
+                          [b > a for a, b in zip(plus, plus[1:])], "formula"),
     ]
     return ScenarioResult("fig10-squeezing",
                           ("pump_mw", "squeezing_db", "antisqueezing_db",
@@ -424,9 +437,8 @@ def _run_fig12(p: Fig12Params, opt: RunOptions) -> ScenarioResult:
         series = linear[k]
         second = [series[i + 1] - 2.0 * series[i] + series[i - 1]
                   for i in range(1, len(series) - 1)]
-        checks.append(Check(f"verifier level convex in gain (input {name})",
-                            1.0 if all(d >= -1e-9 for d in second) else 0.0,
-                            1.0, 0.0, "formula"))
+        checks.append(_holds_everywhere(f"verifier level convex in gain (input {name})",
+                                        [d >= -1e-9 for d in second], "formula"))
     return ScenarioResult("fig12-gain-sweep", columns, tuple(rows), tuple(checks))
 
 
@@ -654,10 +666,9 @@ def _run_fig16(p: Fig16Params, opt: RunOptions) -> ScenarioResult:
     fid = [r[6] for r in rows]
     beyond = [f for r, f in zip(rows, fid) if r[0] >= 10.0]
     checks = [
-        Check("fidelity beats the classical bound beyond 10 mW pump",
-              1.0 if all(f > 0.5 for f in beyond) else 0.0, 1.0, 0.0, "model"),
-        Check("fidelity bounded by 1", 1.0 if all(f <= 1.0 for f in fid) else 0.0,
-              1.0, 0.0, "formula"),
+        _holds_everywhere("fidelity beats the classical bound beyond 10 mW pump",
+                          [f > 0.5 for f in beyond], "model"),
+        _holds_everywhere("fidelity bounded by 1", [f <= 1.0 for f in fid], "formula"),
     ]
     columns = ("pump_mw", "detected_squeezing_db", "detected_antisqueezing_db",
                "epr_minus_db", "epr_plus_db", "sigma_w_db", "fidelity")
@@ -685,8 +696,8 @@ def _run_epr_correlations(p: EprCorrelationsParams, opt: RunOptions) -> Scenario
     witness = [r[6] for r in rows if r[0] > 0.0]
     checks = [
         Check("vacuum sum/difference variances", rows[0][1], 2.0, 1e-12, "formula"),
-        Check("witness below the separable bound once squeezed",
-              1.0 if all(w < 4.0 for w in witness) else 0.0, 1.0, 0.0, "formula"),
+        _holds_everywhere("witness below the separable bound once squeezed",
+                          [w < 4.0 for w in witness], "formula"),
     ]
     columns = ("squeezing_db", "x_minus_var", "x_plus_var", "p_plus_var",
                "p_minus_var", "single_beam_db", "witness")
@@ -743,7 +754,7 @@ def grid_configs(params: OracleGridParams, seed: int, samples: int | None = None
 
 
 def _run_oracle_grid(p: OracleGridParams, opt: RunOptions) -> ScenarioResult:
-    configs = grid_configs(p, opt.seed, opt.samples)
+    configs = grid_configs(p, opt.seed)
     rows = []
     within = 0
     compared = 0
@@ -777,11 +788,11 @@ def _run_oracle_grid(p: OracleGridParams, opt: RunOptions) -> ScenarioResult:
 
 @dataclass(frozen=True)
 class PropertiesParams:
-    cases: int = 1000
+    samples: int = 1000  # cases per property
 
 
 def _run_properties(p: PropertiesParams, opt: RunOptions) -> ScenarioResult:
-    results = run_all(seed=opt.seed, cases=opt.samples or p.cases)
+    results = run_all(seed=opt.seed, cases=p.samples)
     rows = []
     checks = []
     for result in results:
@@ -799,7 +810,7 @@ def _run_properties(p: PropertiesParams, opt: RunOptions) -> ScenarioResult:
 PRESETS = {
     preset.name: preset for preset in (
         Preset("fig2", "station noise vs squeezing, ideal and as-built chains",
-               Fig2Params, _run_fig2, oracle=True),
+               Fig2Params, _run_fig2),
         Preset("fig3", "teleportation fidelity vs squeezing",
                Fig3Params, _run_fig3),
         Preset("fig4", "fidelity vs chain visibility at fixed squeezing",

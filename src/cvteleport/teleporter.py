@@ -17,10 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .epr import SqueezingParams
-from .network import feedforward_transmissions
 from .units import from_db, to_db
-
-SQRT2 = math.sqrt(2.0)
 
 
 def _check_unit_interval(name, value):
@@ -88,34 +85,15 @@ class GainSettings:
     """Classical feedforward gains, one per quadrature channel.
 
     g_x, g_p are normalized end-to-end gains: g = 1 means the verifier sees
-    the input amplitude reproduced exactly. g_x0, g_p0 are the raw device
-    gains realizing them on a given chain; they stay None when not derived
-    (the ideal r_b = 1, t_b = 0 chain absorbs the raw gain into the
-    displacement, so only the normalized value is meaningful there).
+    the input amplitude reproduced exactly.
     """
 
     g_x: float = 1.0
     g_p: float = 1.0
-    g_x0: float | None = None
-    g_p0: float | None = None
 
     def __post_init__(self):
         if self.g_x < 0.0 or self.g_p < 0.0:
             raise ValueError("normalized gains must be >= 0")
-
-
-def normalize_gain(budget: EfficiencyBudget, g0_ideal: float) -> GainSettings:
-    """Raw-gain correction keeping the displacement calibrated on a lossy chain.
-
-    A raw electronic gain g0 on the lossless chain gives normalized gain
-    g = g0 * t_b / sqrt(2). Detection losses shrink the measured
-    photocurrents, so the raw gain must grow by 1/(xi * xi5 * eta_a * eta_v)
-    per quadrature for the verifier to see the same normalized gain; with
-    g = 1 the output amplitude equals the input amplitude.
-    """
-    den_x, den_p = feedforward_transmissions(budget)
-    g = g0_ideal * budget.t_b / SQRT2
-    return GainSettings(g_x=g, g_p=g, g_x0=g0_ideal / den_x, g_p0=g0_ideal / den_p)
 
 
 def _sender_arm(budget: EfficiencyBudget, quad: str):
@@ -236,16 +214,6 @@ def fidelity(sigma_x: float, sigma_p: float,
 
 # --- receiver-field reconstruction (what left Bob, before the verifier) ---
 
-def bob_amplitude_from_victor(beta_v: CoherentAmplitude,
-                              budget: EfficiencyBudget) -> CoherentAmplitude:
-    """Undo the verifier chain's amplitude attenuation: |beta|^2 scales by
-    1/(xi5^2 eta_v^2)."""
-    t2 = (budget.xi5 * budget.eta_v) ** 2
-    if t2 == 0.0:
-        raise ValueError("verifier chain has zero transmission, amplitude unrecoverable")
-    return CoherentAmplitude(beta_v.power / t2, beta_v.phase)
-
-
 def bob_field_variance(squeezing: SqueezingParams, budget: EfficiencyBudget,
                        quad: str = "x") -> float:
     """Variance of the field leaving the receiver, referred to a perfect
@@ -253,27 +221,6 @@ def bob_field_variance(squeezing: SqueezingParams, budget: EfficiencyBudget,
     recalibrated to unity on the stripped chain."""
     stripped = replace(budget, xi5=1.0, alpha_v=1.0)
     return victor_variance(squeezing, stripped, GainSettings(), quad)
-
-
-@dataclass(frozen=True)
-class BobField:
-    beta: CoherentAmplitude
-    sigma_x: float
-    sigma_p: float
-
-
-def victor_to_bob_field(beta_v: CoherentAmplitude, squeezing: SqueezingParams,
-                        budget: EfficiencyBudget) -> BobField:
-    """Receiver-output field inferred from verifier-side quantities.
-
-    With a perfect verifier chain (xi5 = eta_v = 1) this is the identity on
-    both the amplitude and the variances.
-    """
-    return BobField(
-        beta=bob_amplitude_from_victor(beta_v, budget),
-        sigma_x=bob_field_variance(squeezing, budget, "x"),
-        sigma_p=bob_field_variance(squeezing, budget, "p"),
-    )
 
 
 def squeezing_from_victor_variance(sigma_v: float, budget: EfficiencyBudget,

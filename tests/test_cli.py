@@ -82,6 +82,57 @@ def test_single_sample_oracle_grid_fails(capsys):
     assert "FAIL" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["fig2", "--oracle", "--samples", "0"],
+    ["properties", "--samples", "0"],
+    ["oracle-grid", "--samples", "0"],
+    ["fig3", "--set", "points=0"],
+    ["epr-correlations", "--set", "points=0"],
+    ["fig16-fidelity-vs-pump", "--set", "points=0"],
+    ["opo-gain", "--set", "step_mw=0"],
+    ["fig3", "--set", "start_db=1e308"],
+    ["fig3", "--set", "budget.xi2=1e-300"],
+    ["fig3", "--set", "start_db=nan"],
+    ["fig7", "--set", "theta_e_deg=nan"],
+    ["channel-cancellation", "--set", "max_offset_hz=inf"],
+])
+def test_bad_input_returns_two(args, capsys):
+    code, out, err = run_cli(["run"] + args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", [["--samples", "5"], ["--oracle"]])
+def test_shorthand_flags_need_the_parameter(flag, capsys):
+    # --samples and --oracle are overrides, so presets without them refuse
+    code, _, err = run_cli(["run", "fig3"] + flag, capsys)
+    assert code == 2
+    assert flag[0].lstrip("-") in err
+    assert "available here" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["fig12-gain-sweep", "--set", "points=1"],  # no second difference to test
+    ["opo-gain", "--set", "pump_max_mw=0"],      # one pump point, no pair
+])
+def test_check_over_no_points_fails(args, capsys):
+    code, _, err = run_cli(["run"] + args, capsys)
+    assert code == 1
+    assert "FAIL" in err
+
+
+def test_samples_flag_matches_set_override(tmp_path, capsys):
+    paths = [tmp_path / "flag.csv", tmp_path / "set.csv"]
+    assert main(["run", "properties", "--samples", "50", "--out",
+                 str(paths[0])]) == 0
+    assert main(["run", "properties", "--set", "samples=50", "--out",
+                 str(paths[1])]) == 0
+    capsys.readouterr()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert ",50,0,pass" in paths[0].read_text()
+
+
 def test_config_file_runs_preset(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# reference backprop point\n"
@@ -104,6 +155,15 @@ def test_cli_flags_win_over_config(tmp_path, capsys):
     assert main(["run", str(cfg), "--seed", "9", "--out", str(via_cfg)]) == 0
     capsys.readouterr()
     assert direct.read_bytes() == via_cfg.read_bytes()
+
+
+def test_config_bad_boolean(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset=fig2\noracle=maybe\n")
+    code, out, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "oracle" in err
 
 
 def test_config_missing_preset(tmp_path, capsys):

@@ -7,8 +7,7 @@ import pytest
 
 from cvteleport.epr import SqueezingParams
 from cvteleport.jitter import PhaseJitter, variance_at_angles, victor_lo_scan, \
-    victor_variance_jitter, victor_variance_lossy_jitter
-from cvteleport.teleporter import EfficiencyBudget, GainSettings, victor_variance
+    victor_variance_jitter
 from cvteleport.units import to_db
 
 SQ = SqueezingParams.from_db(-3.0, 7.0)
@@ -99,22 +98,3 @@ def test_quadratic_law_matches_gaussian_angle_average():
             draws["theta_b"], quad=quad)))
         predicted = victor_variance_jitter(SQ, jit, quad)
         assert sampled == pytest.approx(predicted, rel=5e-3)
-
-
-def test_lossy_jitter_composition():
-    budget = EfficiencyBudget(xi1=0.986, xi2=0.995, xi3=0.995, xi4=0.988,
-                              xi5=0.985, alpha_ax=0.988, alpha_ap=0.988,
-                              alpha_v=0.988, r_b=math.sqrt(0.99), t_b=0.1)
-    jit = PhaseJitter.from_degrees(theta_e=4.0)
-    gains = GainSettings()
-
-    no_jitter = victor_variance_lossy_jitter(SQ, budget, gains, None, "x")
-    assert no_jitter == pytest.approx(victor_variance(SQ, budget, gains, "x"),
-                                      rel=1e-14)
-    ideal = victor_variance_lossy_jitter(SQ, EfficiencyBudget.ideal(), gains,
-                                         jit, "x")
-    assert ideal == pytest.approx(victor_variance_jitter(SQ, jit, "x"),
-                                  rel=1e-12)
-    # jitter only ever adds noise on top of the lossy chain
-    with_jitter = victor_variance_lossy_jitter(SQ, budget, gains, jit, "x")
-    assert with_jitter > no_jitter

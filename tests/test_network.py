@@ -21,7 +21,7 @@ from cvteleport.epr import SqueezingParams
 from cvteleport.network import PORTS, transfer_matrix
 from cvteleport.scenarios import OracleGridParams, grid_configs
 from cvteleport.teleporter import EfficiencyBudget, GainSettings, alice_variance, \
-    normalize_gain, victor_variance
+    victor_variance
 
 REL = 1e-12
 
@@ -91,13 +91,11 @@ def test_array_angles_broadcast():
 
 
 def test_dead_feedforward_path_rejected():
-    # a zero transmission from a sender detector to the verifier leaves no
-    # finite gain, for the network's displacement and normalize_gain alike
+    # a zero transmission from a sender detector to the verifier leaves the
+    # displacement no finite gain
     for dead in (EfficiencyBudget(alpha_v=0.0), EfficiencyBudget(xi3=0.0)):
         with pytest.raises(ValueError, match="feedforward"):
             transfer_matrix(SqueezingParams.vacuum(), dead, GainSettings())
-        with pytest.raises(ValueError, match="feedforward"):
-            normalize_gain(dead, 1.0)
 
 
 def test_network_imports_no_closed_form():

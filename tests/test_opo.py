@@ -29,18 +29,6 @@ def test_bliira_table():
         BliiraTable(pump_w=(0.0, 0.1), loss=(0.01, 0.0))
 
 
-def test_bliira_table_from_file(tmp_path):
-    path = tmp_path / "bliira.txt"
-    np.savetxt(path, np.array([[0.0, 0.0], [0.1, 0.012], [0.2, 0.02]]))
-    table = BliiraTable.from_file(path)
-    assert table(0.15) == pytest.approx(0.016, rel=1e-12)
-
-    bad = tmp_path / "bad.txt"
-    np.savetxt(bad, np.array([0.0, 0.1, 0.2]))
-    with pytest.raises(ValueError):
-        BliiraTable.from_file(bad)
-
-
 def test_opo_params_validation():
     with pytest.raises(ValueError):
         OpoParams(t_coupler=0.0)

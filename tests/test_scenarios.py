@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from cvteleport.scenarios import Fig3Params, Fig7Params, PRESETS, RunOptions, \
-    apply_overrides, get_preset, list_presets, run_preset
+from cvteleport.scenarios import Fig2Params, Fig3Params, Fig7Params, PRESETS, \
+    RunOptions, apply_overrides, get_preset, list_presets, run_preset
 
 REQUIRED = {"fig2", "fig3", "fig4", "fig7", "opo-gain", "fidelity-anchors",
             "fig16-fidelity-vs-pump", "epr-backprop", "channel-cancellation",
@@ -39,17 +39,19 @@ def test_fast_presets_pass_their_checks(name):
 
 
 def test_fig2_oracle_columns():
-    plain = run_preset("fig2", RunOptions(samples=2000))
+    plain = run_preset("fig2", overrides={"samples": "2000"})
     assert "victor_mc_db" not in plain.columns
-    sampled = run_preset("fig2", RunOptions(oracle=True, samples=2000))
+    sampled = run_preset("fig2", overrides={"oracle": "true", "samples": "2000"})
     assert "victor_mc_db" in sampled.columns
     assert "alice_mc_se" in sampled.columns
     assert len(sampled.rows[0]) == len(sampled.columns)
 
 
 def test_run_preset_deterministic():
-    options = RunOptions(seed=99, samples=2000, oracle=True)
-    assert run_preset("fig2", options).rows == run_preset("fig2", options).rows
+    options = RunOptions(seed=99)
+    overrides = {"oracle": "true", "samples": "2000"}
+    assert run_preset("fig2", options, overrides).rows == \
+        run_preset("fig2", options, overrides).rows
 
 
 def test_overrides_nested_and_coerced():
@@ -74,6 +76,28 @@ def test_override_errors_name_the_key():
         apply_overrides(Fig3Params(), {"points.deep": "1"})
 
 
+@pytest.mark.parametrize("key,raw", [
+    ("points", "0"), ("points", "-3"), ("start_db", "nan"), ("stop_db", "inf"),
+    ("budget.xi2", "-inf"),
+])
+def test_overrides_reject_empty_counts_and_non_finite_numbers(key, raw):
+    with pytest.raises(ValueError, match=key):
+        apply_overrides(Fig3Params(), {key: raw})
+
+
+@pytest.mark.parametrize("raw", ["", ",", "1,nan", "inf"])
+def test_tuple_overrides_need_finite_entries(raw):
+    with pytest.raises(ValueError, match="theta_e_deg"):
+        apply_overrides(Fig7Params(), {"theta_e_deg": raw})
+
+
+def test_boolean_override_words():
+    for raw, value in (("yes", True), ("On", True), ("0", False), ("off", False)):
+        assert apply_overrides(Fig2Params(), {"oracle": raw}).oracle is value
+    with pytest.raises(ValueError, match="oracle"):
+        apply_overrides(Fig2Params(), {"oracle": "maybe"})
+
+
 def test_run_preset_applies_overrides():
     result = run_preset("fig3", overrides={"points": "11"})
     assert len(result.rows) == 11
@@ -88,7 +112,7 @@ def test_fidelity_anchor_rows_all_pass():
 
 
 def test_oracle_grid_reduced_samples():
-    result = run_preset("oracle-grid", RunOptions(samples=20_000))
+    result = run_preset("oracle-grid", overrides={"samples": "20000"})
     by_name = {check.name: check for check in result.checks}
     assert by_name["compared cells"].value == 118.0
     assert by_name["cells within 3 standard errors (fraction)"].passed

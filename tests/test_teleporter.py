@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from cvteleport.epr import SqueezingParams
 from cvteleport.teleporter import CoherentAmplitude, EfficiencyBudget, \
-    GainSettings, alice_variance, bob_amplitude_from_victor, bob_field_variance, \
-    channel_cancellation_db, fidelity, fit_channel_cancellation, normalize_gain, \
-    spectral_densities, squeezing_from_victor_variance, victor_to_bob_field, \
-    victor_variance
+    GainSettings, alice_variance, bob_field_variance, channel_cancellation_db, \
+    fidelity, fit_channel_cancellation, spectral_densities, \
+    squeezing_from_victor_variance, victor_variance
 from cvteleport.units import from_db, to_db
 
 IDEAL = EfficiencyBudget.ideal()
@@ -67,18 +66,6 @@ def test_zero_sender_arm_rejected():
     dead = replace(AS_BUILT, xi2=0.0)
     with pytest.raises(ValueError):
         victor_variance(VAC, dead, UNIT, "x")
-
-
-def test_gain_normalization_roundtrip():
-    settings_ = normalize_gain(AS_BUILT, 1.0)
-    # device gain correction for the as-built chain
-    assert settings_.g_x0 == pytest.approx(1.0327227497771643, rel=1e-12)
-    assert settings_.g_x == pytest.approx(AS_BUILT.t_b / math.sqrt(2.0),
-                                          rel=1e-14)
-    # dialing the corrected device gain lands at unit normalized gain
-    unit_device = math.sqrt(2.0) / AS_BUILT.t_b
-    assert normalize_gain(AS_BUILT, unit_device).g_x == pytest.approx(1.0,
-                                                                      rel=1e-12)
 
 
 def test_alice_variance():
@@ -185,20 +172,6 @@ def test_receiver_corrected_anchor():
     assert to_db(corrected) == pytest.approx(3.4847501170845954, rel=1e-12)
     assert fidelity(corrected, bob_field_variance(inferred, trace, "p")) == \
         pytest.approx(0.6190275746598977, rel=1e-12)
-
-
-def test_victor_to_bob_field_amplitude():
-    beta_v = CoherentAmplitude(100.0, 0.25)
-    scaled = bob_amplitude_from_victor(beta_v, AS_BUILT)
-    assert scaled.power == pytest.approx(
-        100.0 / (AS_BUILT.xi5 ** 2 * AS_BUILT.alpha_v), rel=1e-14)
-    assert scaled.phase == beta_v.phase
-
-    sq = SqueezingParams.from_db(-3.0, 7.0)
-    field = victor_to_bob_field(beta_v, sq, AS_BUILT)
-    assert field.beta.power == scaled.power
-    assert field.sigma_x == pytest.approx(bob_field_variance(sq, AS_BUILT, "x"),
-                                          rel=1e-14)
 
 
 def test_spectral_density_ratios():
