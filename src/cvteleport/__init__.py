@@ -3,7 +3,7 @@ phase-jittery optical chain: closed-form station variances and fidelities,
 an exact phase-space Monte Carlo of the same chain, squeezer spectra, and a
 catalog of reference scenarios with pinned expected values."""
 
-from .epr import EprState, SqueezingParams
+from .epr import SqueezingParams
 from .jitter import PhaseJitter, victor_lo_scan, victor_variance_jitter
 from .opo import BliiraTable, DetectionChain, OpoParams, back_propagate_to_epr, \
     double_pump_debit, parametric_gain, squeezing_vs_pump, threshold
@@ -12,7 +12,7 @@ from .scenarios import RunOptions, list_presets, run_preset
 from .teleporter import CoherentAmplitude, EfficiencyBudget, GainSettings, \
     SpectralDensities, alice_variance, bob_field_variance, fidelity, \
     spectral_densities, squeezing_from_victor_variance, victor_variance
-from .units import VACUUM_VARIANCE, from_db, loss_channel, to_db
+from .units import from_db, loss_channel, to_db
 
 __version__ = "0.1.0"
 
@@ -22,14 +22,12 @@ __all__ = [
     "CoherentAmplitude",
     "DetectionChain",
     "EfficiencyBudget",
-    "EprState",
     "GainSettings",
     "OpoParams",
     "PhaseJitter",
     "RunOptions",
     "SpectralDensities",
     "SqueezingParams",
-    "VACUUM_VARIANCE",
     "__version__",
     "alice_variance",
     "back_propagate_to_epr",

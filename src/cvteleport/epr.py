@@ -4,19 +4,24 @@ Two independently squeezed beams interfere on a balanced beamsplitter. The
 squeezers act on orthogonal quadratures: beam 1's seed is anti-squeezed in x
 and squeezed in p, beam 2's seed squeezed in x and anti-squeezed in p, so
 the difference of the x quadratures and the sum of the p quadratures end up
-quiet. A relative phase error theta_e rotates beam 2 before the
-beamsplitter and degrades the x correlation.
+quiet. The identities here hold for the locked beamsplitter; a relative
+phase error rotates beam 2 first (network.epr_source, jitter).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import epr_source
 from .units import from_db, to_db
+
+# largest r_plus whose anti-squeezed EPR variances (up to 2 sigma_plus)
+# are still finite floats
+R_PLUS_MAX = 0.5 * math.log(sys.float_info.max / 4.0)
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,10 @@ class SqueezingParams:
                 f"r_plus ({self.r_plus!r}) < r_minus ({self.r_minus!r}) would put "
                 "sigma_plus*sigma_minus below the uncertainty bound"
             )
+        if self.r_plus > R_PLUS_MAX:
+            raise ValueError(f"r_plus = {self.r_plus:.4g} puts the anti-squeezed "
+                             f"variance beyond the float range (r_plus <= "
+                             f"{R_PLUS_MAX:.4g})")
 
     @property
     def sigma_minus(self) -> float:
@@ -80,39 +89,24 @@ class SqueezingParams:
         return cls.from_variances(from_db(minus_db), from_db(plus_db))
 
 
-@dataclass(frozen=True)
-class EprState:
-    """EPR pair: seed squeezing plus entangling-beamsplitter phase error (rad)."""
-
-    params: SqueezingParams
-    theta_e: float = 0.0
-
-
-def output_matrix(state: EprState) -> np.ndarray:
+def output_matrix(squeezing: SqueezingParams) -> np.ndarray:
     """Coefficients of the two EPR beams over the seed vacuum quadratures.
 
     Rows are (x_1, p_1, x_2, p_2), columns the unit-variance vacuum
     operators (x1_0, p1_0, x2_0, p2_0) entering the two squeezers: the
-    network's EPR stage applied to the identity.
+    network's EPR stage, locked (theta_e = 0), applied to the identity.
     """
-    return np.array(epr_source(np.eye(4), state.params, state.theta_e))
+    return np.array(epr_source(np.eye(4), squeezing))
 
 
-def _require_locked(state: EprState, what: str):
-    if state.theta_e != 0.0:
-        raise ValueError(f"{what} is stated for the locked beamsplitter (theta_e = 0), "
-                         f"got theta_e = {state.theta_e!r}")
-
-
-def sum_difference_variances(state: EprState) -> dict:
-    """Variances of x1 -+ x2 and p1 +- p2 for the locked (theta_e = 0) pair.
+def sum_difference_variances(squeezing: SqueezingParams) -> dict:
+    """Variances of x1 -+ x2 and p1 +- p2 for the locked pair.
 
     The quiet pair is {x_minus, p_plus} at 2*sigma_minus; the loud pair
     {x_plus, p_minus} at 2*sigma_plus. Computed from the coefficient matrix
     so there is a single source of truth for the signs.
     """
-    _require_locked(state, "the correlation identity")
-    x1, p1, x2, p2 = output_matrix(state)
+    x1, p1, x2, p2 = output_matrix(squeezing)
     return {
         "x_minus": float(np.sum((x1 - x2) ** 2)),
         "x_plus": float(np.sum((x1 + x2) ** 2)),
@@ -121,19 +115,18 @@ def sum_difference_variances(state: EprState) -> dict:
     }
 
 
-def single_beam_variance(state: EprState) -> float:
+def single_beam_variance(squeezing: SqueezingParams) -> float:
     """Variance of either beam alone: (sigma_plus + sigma_minus)/2.
 
     Identical for both beams and both quadratures, so a single homodyne on
     one beam never resolves the correlations.
     """
-    _require_locked(state, "the single-beam identity")
-    x1 = output_matrix(state)[0]
+    x1 = output_matrix(squeezing)[0]
     return float(np.sum(x1 ** 2))
 
 
-def correlation_product(state: EprState) -> float:
+def correlation_product(squeezing: SqueezingParams) -> float:
     """Entanglement witness var(x1 - x2) * var(p1 + p2); < 4 certifies
     inseparability, = 4*sigma_minus**2 for this source."""
-    v = sum_difference_variances(state)
+    v = sum_difference_variances(squeezing)
     return v["x_minus"] * v["p_plus"]

@@ -13,8 +13,7 @@ PhaseJitter.from_degrees at the interface.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,14 +21,15 @@ from .epr import SqueezingParams
 from .network import transfer_matrix
 from .teleporter import EfficiencyBudget, GainSettings
 
-# quadratic expansion error grows as theta^4 past roughly this rms
+# quadratic expansion error grows as theta^4 past roughly this rms, radians
 SMALL_ANGLE_LIMIT = 0.2
 _ANGLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class PhaseJitter:
-    """RMS lock-angle fluctuations, radians."""
+    """RMS lock-angle fluctuations, radians. Any size is a valid jitter for
+    the Monte Carlo; the quadratic law holds only up to SMALL_ANGLE_LIMIT."""
 
     theta_e_rms: float = 0.0
     theta_ax_rms: float = 0.0
@@ -37,16 +37,10 @@ class PhaseJitter:
     theta_b_rms: float = 0.0
 
     def __post_init__(self):
-        for name in ("theta_e_rms", "theta_ax_rms", "theta_ap_rms", "theta_b_rms"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-            if value > SMALL_ANGLE_LIMIT:
-                warnings.warn(
-                    f"{name} = {value:.3f} rad exceeds the small-angle regime "
-                    f"({SMALL_ANGLE_LIMIT} rad); the quadratic average degrades",
-                    stacklevel=3,
-                )
+                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
 
     @classmethod
     def from_degrees(cls, theta_e: float = 0.0, theta_ax: float = 0.0,
@@ -66,7 +60,7 @@ def variance_at_angles(squeezing: SqueezingParams, theta_e=0.0, theta_ax=0.0,
                                    for theta in (theta_e, theta_ax, theta_ap, theta_b)))
     flat = [theta.ravel() for theta in thetas]
     out = np.empty(flat[0].size)
-    # a block of angles at a time bounds the (block, 4, 18) matrix stack
+    # a block of angles at a time bounds the (block, 4, 16) matrix stack
     for start in range(0, out.size, _ANGLE_BLOCK):
         block = tuple(theta[start:start + _ANGLE_BLOCK] for theta in flat)
         t = transfer_matrix(squeezing, EfficiencyBudget.ideal(), GainSettings(), block)
@@ -94,7 +88,14 @@ def victor_variance_jitter(squeezing: SqueezingParams, jitter: PhaseJitter,
 
     Quadratic in the rms angles: weight w moves from the squeezed term onto
     the anti-squeezed one, sigma = 1 + (2 - w) sigma_minus + w sigma_plus.
+    Raises when an rms angle exceeds SMALL_ANGLE_LIMIT, where the law no
+    longer holds.
     """
+    for f in fields(jitter):
+        value = getattr(jitter, f.name)
+        if value > SMALL_ANGLE_LIMIT:
+            raise ValueError(f"{f.name} = {value:.3g} rad exceeds the small-angle "
+                             f"limit {SMALL_ANGLE_LIMIT} rad of the quadratic law")
     w = _jitter_weight(jitter, quad)
     return 1.0 + (2.0 - w) * squeezing.sigma_minus + w * squeezing.sigma_plus
 

@@ -17,6 +17,11 @@ import numpy as np
 from .epr import SqueezingParams
 from .units import from_db, invert_loss_channel, loss_channel
 
+# cavity half width at half maximum and the sideband frequency the spectra
+# are evaluated at, Hz
+LINEWIDTH_HWHM = 5.4e6
+ANALYSIS_FREQ = 1.475e6
+
 
 @dataclass(frozen=True)
 class BliiraTable:
@@ -57,16 +62,12 @@ class OpoParams:
     e_nl: effective nonlinearity, 1/W
     l_passive: passive round-trip intensity loss
     bliira: pump-dependent extra loss table
-    linewidth_hwhm: cavity half width at half maximum, Hz
-    analysis_freq: sideband frequency the spectra are evaluated at, Hz
     """
 
     t_coupler: float = 0.10
     e_nl: float = 0.021
     l_passive: float = 0.0
     bliira: BliiraTable = field(default_factory=BliiraTable.default)
-    linewidth_hwhm: float = 5.4e6
-    analysis_freq: float = 1.475e6
 
     def __post_init__(self):
         if not 0.0 < self.t_coupler < 1.0:
@@ -75,8 +76,6 @@ class OpoParams:
             raise ValueError(f"e_nl must be positive, got {self.e_nl!r}")
         if not 0.0 <= self.l_passive < 1.0:
             raise ValueError(f"l_passive must lie in [0, 1), got {self.l_passive!r}")
-        if self.linewidth_hwhm <= 0.0 or self.analysis_freq <= 0.0:
-            raise ValueError("linewidth and analysis frequency must be positive")
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ def squeezing_vs_pump(opo: OpoParams, chain: DetectionChain,
     """Detected squeezed and anti-squeezed variances at the analysis frequency.
 
     Standard below-threshold spectra of a lossy cavity: with pump ratio
-    x = sqrt(P/P_t) and normalized offset w = analysis_freq/linewidth the
+    x = sqrt(P/P_t) and normalized offset w = ANALYSIS_FREQ/LINEWIDTH_HWHM the
     lossless variances are 1 - 4x/((1 + x)^2 + w^2) (squeezed) and
     1 + 4x/((1 - x)^2 + w^2) (anti-squeezed); the total detection
     efficiency (escape times the chain factor) pulls both toward vacuum.
@@ -163,7 +162,7 @@ def squeezing_vs_pump(opo: OpoParams, chain: DetectionChain,
     if pump >= p_t:
         raise ValueError(f"pump {pump!r} W at or above oscillation threshold {p_t:.4g} W")
     x = math.sqrt(pump / p_t)
-    w2 = (opo.analysis_freq / opo.linewidth_hwhm) ** 2
+    w2 = (ANALYSIS_FREQ / LINEWIDTH_HWHM) ** 2
     eta = escape_efficiency(opo, pump) * chain.efficiency
     sigma_minus = 1.0 - eta * 4.0 * x / ((1.0 + x) ** 2 + w2)
     sigma_plus = 1.0 + eta * 4.0 * x / ((1.0 - x) ** 2 + w2)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epr import EprState, SqueezingParams, correlation_product
+from .epr import SqueezingParams, correlation_product
 from .opo import BliiraTable, DetectionChain, OpoParams, squeezing_vs_pump, threshold
 from .teleporter import CoherentAmplitude, fidelity
 from .units import from_db, loss_channel, to_db
@@ -66,13 +66,12 @@ def check_epr_witness(rng, cases: int) -> PropertyResult:
     for _ in range(cases):
         r_minus = float(10.0 ** rng.uniform(-3.0, math.log10(2.0)))
         r_plus = r_minus + float(rng.uniform(0.0, 1.0))
-        state = EprState(SqueezingParams(r_minus, r_plus))
-        product = correlation_product(state)
+        product = correlation_product(SqueezingParams(r_minus, r_plus))
         expected = 4.0 * math.exp(-4.0 * r_minus)
         if abs(product - expected) > 1e-9 * expected or not product < 4.0:
             bad.append(f"r_minus={r_minus!r} r_plus={r_plus!r} product={product!r}")
     # unsqueezed boundary: witness sits exactly at the separable bound
-    if abs(correlation_product(EprState(SqueezingParams())) - 4.0) > 1e-12:
+    if abs(correlation_product(SqueezingParams()) - 4.0) > 1e-12:
         bad.append("vacuum state: product != 4")
     return _result("epr_witness", cases, bad)
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .epr import EprState, SqueezingParams, correlation_product, \
-    single_beam_variance, sum_difference_variances
+from .epr import SqueezingParams, correlation_product, single_beam_variance, \
+    sum_difference_variances
 from .jitter import PhaseJitter, victor_lo_scan, victor_variance_jitter
 from .opo import BliiraTable, DetectionChain, OpoParams, back_propagate_to_epr, \
     double_pump_debit, escape_efficiency, parametric_gain, squeezing_vs_pump, \
@@ -39,9 +39,8 @@ LN10 = math.log(10.0)
 
 # best-case efficiencies of the as-built chain
 BUDGET_BEST = EfficiencyBudget(
-    xi1=0.986, xi2=0.995, xi3=0.995, xi4=0.988, xi5=0.985, xi_epr=0.985,
-    alpha_ax=0.988, alpha_ap=0.988, alpha_v=0.988,
-    r_b=math.sqrt(0.99), t_b=0.1,
+    xi1=0.986, xi2=0.995, xi3=0.995, xi4=0.988, xi5=0.985,
+    alpha_ax=0.988, alpha_ap=0.988, alpha_v=0.988, r_b=math.sqrt(0.99),
 )
 # budget holding during the long teleportation trace
 BUDGET_TRACE = replace(BUDGET_BEST, xi2=0.990, xi3=0.990, xi4=0.980, xi5=0.975)
@@ -82,7 +81,6 @@ class Check:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    name: str
     columns: tuple
     rows: tuple
     checks: tuple = ()
@@ -203,7 +201,7 @@ def _run_fig2(p: Fig2Params, opt: RunOptions) -> ScenarioResult:
                     to_db(est.sigma_a_x.value),
                     10.0 / LN10 * est.sigma_a_x.stderr / est.sigma_a_x.value]
         rows.append(tuple(row))
-    return ScenarioResult("fig2", tuple(columns), tuple(rows))
+    return ScenarioResult(tuple(columns), tuple(rows))
 
 
 # --- fig3: fidelity vs squeezing ---
@@ -231,7 +229,7 @@ def _run_fig3(p: Fig3Params, opt: RunOptions) -> ScenarioResult:
     if p.start_db == 0.0:
         checks.append(Check("classical unit-gain fidelity", rows[0][1], 0.5,
                             1e-12, "formula"))
-    return ScenarioResult("fig3", ("squeezing_db", "fidelity_ideal", "fidelity"),
+    return ScenarioResult(("squeezing_db", "fidelity_ideal", "fidelity"),
                           tuple(rows), tuple(checks))
 
 
@@ -245,7 +243,6 @@ class Fig4Params:
     squeezing_db: tuple = (0.0, 3.0, 6.0, 10.0)
     alpha: float = 0.988
     r_b: float = math.sqrt(0.99)
-    t_b: float = 0.1
 
 
 def _run_fig4(p: Fig4Params, opt: RunOptions) -> ScenarioResult:
@@ -259,14 +256,14 @@ def _run_fig4(p: Fig4Params, opt: RunOptions) -> ScenarioResult:
         v = float(vis)
         budget = EfficiencyBudget(xi1=v, xi2=v, xi3=v, xi4=v, xi5=v,
                                   alpha_ax=p.alpha, alpha_ap=p.alpha,
-                                  alpha_v=p.alpha, r_b=p.r_b, t_b=p.t_b)
+                                  alpha_v=p.alpha, r_b=p.r_b)
         row = [v]
         for s_db in p.squeezing_db:
             sq = pure_squeezing(s_db)
             row.append(fidelity(victor_variance(sq, budget, gains, "x"),
                                 victor_variance(sq, budget, gains, "p")))
         rows.append(tuple(row))
-    return ScenarioResult("fig4", columns, tuple(rows))
+    return ScenarioResult(columns, tuple(rows))
 
 
 # --- fig7: verifier LO scan under EPR-phase jitter ---
@@ -311,7 +308,7 @@ def _run_fig7(p: Fig7Params, opt: RunOptions) -> ScenarioResult:
     db_ = victor_variance_jitter(sq, PhaseJitter(theta_b_rms=h), "x") - base
     checks.append(Check("EPR-phase vs receiver-phase jitter weight ratio",
                         de / db_, 4.0, 1e-9, "formula"))
-    return ScenarioResult("fig7", columns, rows, tuple(checks))
+    return ScenarioResult(columns, rows, tuple(checks))
 
 
 # --- opo-gain: parametric gain and threshold ---
@@ -353,8 +350,7 @@ def _run_opo_gain(p: OpoGainParams, opt: RunOptions) -> ScenarioResult:
     ]
     notes = ("measured oscillation threshold was about 190 mW; the formula value "
              "is reported here and the difference tracks the loss uncertainty",)
-    return ScenarioResult("opo-gain",
-                          ("pump_mw", "total_loss", "threshold_mw", "gain", "escape"),
+    return ScenarioResult(("pump_mw", "total_loss", "threshold_mw", "gain", "escape"),
                           tuple(rows), tuple(checks), notes)
 
 
@@ -394,10 +390,8 @@ def _run_fig10(p: Fig10Params, opt: RunOptions) -> ScenarioResult:
         _holds_everywhere("anti-squeezing monotone increasing with pump",
                           [b > a for a, b in zip(plus, plus[1:])], "formula"),
     ]
-    return ScenarioResult("fig10-squeezing",
-                          ("pump_mw", "squeezing_db", "antisqueezing_db",
-                           "total_loss", "escape"),
-                          tuple(rows), tuple(checks))
+    return ScenarioResult(("pump_mw", "squeezing_db", "antisqueezing_db",
+                           "total_loss", "escape"), tuple(rows), tuple(checks))
 
 
 # --- fig12-gain-sweep: verifier spectral density vs feedforward gain ---
@@ -439,7 +433,7 @@ def _run_fig12(p: Fig12Params, opt: RunOptions) -> ScenarioResult:
                   for i in range(1, len(series) - 1)]
         checks.append(_holds_everywhere(f"verifier level convex in gain (input {name})",
                                         [d >= -1e-9 for d in second], "formula"))
-    return ScenarioResult("fig12-gain-sweep", columns, tuple(rows), tuple(checks))
+    return ScenarioResult(columns, tuple(rows), tuple(checks))
 
 
 # --- fidelity-anchors: pinned variance/fidelity points ---
@@ -508,7 +502,7 @@ def _run_fidelity_anchors(p: FidelityAnchorsParams, opt: RunOptions) -> Scenario
 
     columns = ("case", "sigma_db", "sigma_ref_db", "sigma_tol_db",
                "fidelity", "fidelity_ref", "fidelity_tol", "status")
-    return ScenarioResult("fidelity-anchors", columns, tuple(rows), tuple(checks))
+    return ScenarioResult(columns, tuple(rows), tuple(checks))
 
 
 # --- epr-backprop: detected squeezing referred to the entangling beamsplitter ---
@@ -539,7 +533,7 @@ def _run_epr_backprop(p: EprBackpropParams, opt: RunOptions) -> ScenarioResult:
     )
     columns = ("quantity", "detected_db", "inferred_db", "reference_db",
                "tolerance_db", "status")
-    return ScenarioResult("epr-backprop", columns, rows, (c_minus, c_plus))
+    return ScenarioResult(columns, rows, (c_minus, c_plus))
 
 
 # --- channel-cancellation: balanced classical channels vs offset ---
@@ -576,8 +570,8 @@ def _run_channel_cancellation(p: ChannelCancellationParams,
     ]
     notes = (f"fitted imbalance epsilon = {epsilon:.5f}, "
              f"differential delay = {delay * 1e6:.3f} us",)
-    return ScenarioResult("channel-cancellation", ("offset_khz", "cancellation_db"),
-                          tuple(rows), tuple(checks), notes)
+    return ScenarioResult(("offset_khz", "cancellation_db"), tuple(rows),
+                          tuple(checks), notes)
 
 
 # --- spectral-ratios: signal-plus-noise anchors at both stations ---
@@ -627,7 +621,7 @@ def _run_spectral_ratios(p: SpectralRatiosParams, opt: RunOptions) -> ScenarioRe
         "experiment", "db")
 
     columns = ("case", "value", "reference", "tolerance", "unit", "status")
-    return ScenarioResult("spectral-ratios", columns, tuple(rows), tuple(checks))
+    return ScenarioResult(columns, tuple(rows), tuple(checks))
 
 
 # --- fig16: predicted fidelity vs pump ---
@@ -672,8 +666,7 @@ def _run_fig16(p: Fig16Params, opt: RunOptions) -> ScenarioResult:
     ]
     columns = ("pump_mw", "detected_squeezing_db", "detected_antisqueezing_db",
                "epr_minus_db", "epr_plus_db", "sigma_w_db", "fidelity")
-    return ScenarioResult("fig16-fidelity-vs-pump", columns, tuple(rows),
-                          tuple(checks))
+    return ScenarioResult(columns, tuple(rows), tuple(checks))
 
 
 # --- epr-correlations: two-mode variances vs squeezing ---
@@ -688,20 +681,22 @@ class EprCorrelationsParams:
 def _run_epr_correlations(p: EprCorrelationsParams, opt: RunOptions) -> ScenarioResult:
     rows = []
     for s_db in np.linspace(p.start_db, p.stop_db, p.points):
-        state = EprState(pure_squeezing(float(s_db)))
-        v = sum_difference_variances(state)
+        sq = pure_squeezing(float(s_db))
+        v = sum_difference_variances(sq)
         rows.append((float(s_db), v["x_minus"], v["x_plus"], v["p_plus"],
-                     v["p_minus"], to_db(single_beam_variance(state)),
-                     correlation_product(state)))
+                     v["p_minus"], to_db(single_beam_variance(sq)),
+                     correlation_product(sq)))
     witness = [r[6] for r in rows if r[0] > 0.0]
+    vacuum = sum_difference_variances(SqueezingParams.vacuum())
     checks = [
-        Check("vacuum sum/difference variances", rows[0][1], 2.0, 1e-12, "formula"),
+        Check("vacuum sum/difference variances", vacuum["x_minus"], 2.0, 1e-12,
+              "formula"),
         _holds_everywhere("witness below the separable bound once squeezed",
                           [w < 4.0 for w in witness], "formula"),
     ]
     columns = ("squeezing_db", "x_minus_var", "x_plus_var", "p_plus_var",
                "p_minus_var", "single_beam_db", "witness")
-    return ScenarioResult("epr-correlations", columns, tuple(rows), tuple(checks))
+    return ScenarioResult(columns, tuple(rows), tuple(checks))
 
 
 # --- oracle-grid: Monte Carlo vs closed forms over the acceptance grid ---
@@ -767,8 +762,7 @@ def _run_oracle_grid(p: OracleGridParams, opt: RunOptions) -> ScenarioResult:
                 continue
             estimate = getattr(est, key)
             z = (estimate.value - reference) / estimate.stderr
-            # an infinite stderr (N = 1) makes every z 0; that is no agreement
-            ok = math.isfinite(estimate.stderr) and abs(z) <= 3.0
+            ok = abs(z) <= 3.0
             compared += 1
             within += ok
             rows.append((label, key, estimate.value, estimate.stderr,
@@ -781,7 +775,7 @@ def _run_oracle_grid(p: OracleGridParams, opt: RunOptions) -> ScenarioResult:
     ]
     columns = ("config", "observable", "estimate", "stderr", "reference",
                "z_score", "within_3se")
-    return ScenarioResult("oracle-grid", columns, tuple(rows), tuple(checks))
+    return ScenarioResult(columns, tuple(rows), tuple(checks))
 
 
 # --- properties: randomized identity checks ---
@@ -801,7 +795,7 @@ def _run_properties(p: PropertiesParams, opt: RunOptions) -> ScenarioResult:
         checks.append(check)
         rows.append((result.name, result.cases, result.failures,
                      _status(check)))
-    return ScenarioResult("properties", ("property", "cases", "failures", "status"),
+    return ScenarioResult(("property", "cases", "failures", "status"),
                           tuple(rows), tuple(checks))
 
 

@@ -14,7 +14,7 @@ All variances are in vacuum units (vacuum = 1); see units.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .epr import SqueezingParams
 from .units import from_db, to_db
@@ -33,13 +33,12 @@ class EfficiencyBudget:
     xi2, xi3: sender homodyne visibilities (x and p arms)
     xi4: EPR beam 2 propagation overlap to the receiver
     xi5: verifier homodyne visibility
-    xi_epr: squeezed-beam overlap at the entangling beamsplitter (used when
-        mapping detected squeezing back to the source, not in the chain
-        variance itself)
     alpha_*: photodiode quantum efficiencies (intensity); eta = sqrt(alpha)
-    r_b, t_b: receiver displacement beamsplitter amplitude reflectivity and
-        transmission, r_b**2 + t_b**2 <= 1. The ideal chain takes r_b = 1,
-        t_b = 0 (displacement limit).
+    r_b: amplitude reflectivity of the receiver's displacement beamsplitter
+        for EPR beam 2. The rest of that port, 1 - r_b**2, is vacuum: the
+        displacement beam's transmission (0.1 on the 99/1 splitter) and any
+        extra receiver loss enter only through it. The ideal chain takes
+        r_b = 1 (displacement limit).
     """
 
     xi1: float = 1.0
@@ -47,21 +46,14 @@ class EfficiencyBudget:
     xi3: float = 1.0
     xi4: float = 1.0
     xi5: float = 1.0
-    xi_epr: float = 1.0
     alpha_ax: float = 1.0
     alpha_ap: float = 1.0
     alpha_v: float = 1.0
     r_b: float = 1.0
-    t_b: float = 0.0
 
     def __post_init__(self):
-        for name in ("xi1", "xi2", "xi3", "xi4", "xi5", "xi_epr",
-                     "alpha_ax", "alpha_ap", "alpha_v", "r_b", "t_b"):
-            _check_unit_interval(name, getattr(self, name))
-        if self.r_b ** 2 + self.t_b ** 2 > 1.0 + 1e-12:
-            raise ValueError(
-                f"r_b**2 + t_b**2 = {self.r_b ** 2 + self.t_b ** 2:.6f} exceeds 1"
-            )
+        for f in fields(self):
+            _check_unit_interval(f.name, getattr(self, f.name))
 
     @property
     def eta_ax(self) -> float:
@@ -176,10 +168,6 @@ class CoherentAmplitude:
         return cls(0.0, 0.0)
 
     @classmethod
-    def from_means(cls, mean_x: float, mean_p: float):
-        return cls(mean_x ** 2 + mean_p ** 2, math.atan2(mean_p, mean_x))
-
-    @classmethod
     def from_total_db(cls, total_db: float, phase: float = 0.0):
         """From a measured total spectral density (signal + vacuum floor)."""
         power = from_db(total_db) - 1.0
@@ -253,12 +241,10 @@ def squeezing_from_victor_variance(sigma_v: float, budget: EfficiencyBudget,
 
 @dataclass(frozen=True)
 class SpectralDensities:
-    """Phase-scanned peak spectral densities, vacuum units."""
+    """Phase-scanned peak spectral densities of the x quadrature, vacuum units."""
 
     alice_x: float
-    alice_p: float
     victor_x: float
-    victor_p: float
 
 
 def spectral_densities(beta_in: CoherentAmplitude, squeezing: SqueezingParams,
@@ -277,10 +263,7 @@ def spectral_densities(beta_in: CoherentAmplitude, squeezing: SqueezingParams,
     return SpectralDensities(
         alice_x=0.5 * (budget.xi2 ** 2) * budget.alpha_ax * p
         + alice_variance(squeezing, budget, "x"),
-        alice_p=0.5 * (budget.xi3 ** 2) * budget.alpha_ap * p
-        + alice_variance(squeezing, budget, "p"),
         victor_x=gains.g_x ** 2 * p + victor_variance(squeezing, budget, gains, "x"),
-        victor_p=gains.g_p ** 2 * p + victor_variance(squeezing, budget, gains, "p"),
     )
 
 

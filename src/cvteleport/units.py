@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-VACUUM_VARIANCE = 1.0
-
 
 def to_db(value: float) -> float:
     """Linear variance (or power) ratio to dB re vacuum."""

@@ -76,10 +76,26 @@ def test_check_failure_sets_exit_code(capsys):
 
 
 def test_single_sample_oracle_grid_fails(capsys):
-    # one shot has an infinite standard error: no cell can count as agreeing
-    code, _, err = run_cli(["run", "oracle-grid", "--samples", "1"], capsys)
-    assert code == 1
-    assert "FAIL" in err
+    # a sample variance needs two shots, so one shot is bad input
+    code, out, err = run_cli(["run", "oracle-grid", "--samples", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "samples" in err
+
+
+def test_single_sample_oracle_scan_names_samples(capsys):
+    code, out, err = run_cli(["run", "fig2", "--oracle", "--samples", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "samples" in err
+
+
+def test_epr_correlations_vacuum_check_off_zero_start(capsys):
+    # the vacuum check is evaluated on the vacuum itself, not on row one
+    code, _, err = run_cli(["run", "epr-correlations", "--set", "start_db=3"],
+                           capsys)
+    assert code == 0
+    assert "2/2 checks passed" in err
 
 
 @pytest.mark.parametrize("args", [
@@ -95,6 +111,10 @@ def test_single_sample_oracle_grid_fails(capsys):
     ["fig3", "--set", "start_db=nan"],
     ["fig7", "--set", "theta_e_deg=nan"],
     ["channel-cancellation", "--set", "max_offset_hz=inf"],
+    ["fig7", "--set", "theta_e_deg=0,243"],  # beyond the quadratic jitter law
+    ["fig3", "--set", "budget.xi_epr=0.5"],
+    ["fig4", "--set", "t_b=0.1"],
+    ["epr-correlations", "--set", "start_db=6000"],  # variances overflow
 ])
 def test_bad_input_returns_two(args, capsys):
     code, out, err = run_cli(["run"] + args, capsys)

@@ -2,7 +2,9 @@
 
 Whatever the value, the run must end in exit 0 (every check passed), 1 (a
 real check failed) or 2 (bad input), never in an exception, and a run that
-exits 0 must write only finite numbers.
+exits 0 must write only finite numbers. Retired keys, deleted because no
+computation read them, must exit 2 whatever the value, so an old config
+line fails loudly instead of being ignored.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from cvteleport.cli import main
 from cvteleport.scenarios import get_preset, list_presets
+from cvteleport.teleporter import EfficiencyBudget
 
 HOSTILE = ("0", "-1", "1", "2", "", " ", "nan", "-nan", "inf", "-inf", "1e308",
            "-1e308", "1e-300", "-1e-300", "abc", "1,nan", "1,,2", ",", "true",
@@ -38,6 +41,10 @@ def _leaf_keys(params, prefix=""):
 
 CASES = [(preset.name, key) for preset in list_presets()
          for key in _leaf_keys(preset.params_type())]
+RETIRED = [(preset.name, f"{f.name}.{old}") for preset in list_presets()
+           for f in dataclasses.fields(preset.params_type)
+           if isinstance(f.default, EfficiencyBudget)
+           for old in ("t_b", "xi_epr")] + [("fig4", "t_b")]
 
 
 def _hostile_examples(test):
@@ -46,7 +53,7 @@ def _hostile_examples(test):
     return test
 
 
-@pytest.mark.parametrize("preset,key", CASES)
+@pytest.mark.parametrize("preset,key", CASES + RETIRED)
 @settings(max_examples=4, deadline=None, derandomize=True, database=None)
 @given(value=st.sampled_from(HOSTILE) | NUMBERS)
 @_hostile_examples
@@ -57,6 +64,9 @@ def test_hostile_override(preset, key, value):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    if (preset, key) in RETIRED:
+        assert code == 2 and "unknown parameter" in err.getvalue(), err.getvalue()
+        return
     assert code in (0, 1, 2), err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")

@@ -19,8 +19,9 @@ def test_jitter_validation_and_degrees():
     jit = PhaseJitter.from_degrees(theta_e=6.0, theta_b=3.0)
     assert jit.theta_e_rms == pytest.approx(math.radians(6.0), rel=1e-14)
     assert jit.theta_b_rms == pytest.approx(math.radians(3.0), rel=1e-14)
-    with pytest.warns(UserWarning):
-        PhaseJitter(theta_ax_rms=0.5)  # outside the small-angle regime
+    wide = PhaseJitter(theta_ax_rms=0.5)  # a valid jitter for the Monte Carlo
+    with pytest.raises(ValueError, match="small-angle"):
+        victor_variance_jitter(SQ, wide, "p")  # but beyond the quadratic law
 
 
 def test_zero_jitter_matches_static_chain():

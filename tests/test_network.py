@@ -8,7 +8,6 @@ teleporter.py, which are derived independently.
 import ast
 import dataclasses
 import importlib
-import math
 from pathlib import Path
 
 import numpy as np
@@ -51,15 +50,12 @@ efficiency = st.floats(min_value=0.05, max_value=1.0)
 
 @st.composite
 def budgets(draw):
-    r_b = draw(st.floats(min_value=0.0, max_value=1.0))
-    # fraction of the remaining room; below 1 leaves r_b^2 + t_b^2 < 1
-    t_share = draw(st.floats(min_value=0.0, max_value=1.0))
     return EfficiencyBudget(
         xi1=draw(efficiency), xi2=draw(efficiency), xi3=draw(efficiency),
         xi4=draw(efficiency), xi5=draw(efficiency),
         alpha_ax=draw(efficiency), alpha_ap=draw(efficiency),
         alpha_v=draw(efficiency),
-        r_b=r_b, t_b=t_share * math.sqrt(1.0 - r_b * r_b))
+        r_b=draw(st.floats(min_value=0.0, max_value=1.0)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -73,9 +69,22 @@ def test_covariance_on_random_chains(r_minus, excess, budget, g_x, g_p):
     _assert_covariance_matches(squeezing, budget, GainSettings(g_x, g_p))
 
 
+@settings(max_examples=300, deadline=None)
+@given(budget=budgets(),
+       g_x=st.floats(min_value=0.0, max_value=2.0),
+       g_p=st.floats(min_value=0.0, max_value=2.0))
+def test_gain_teleports_the_mean(budget, g_x, g_p):
+    # an input mean enters like its fluctuations, through the input ports
+    # (4, 5), so the verifier rows (2, 3) carry it scaled by the gain
+    t = transfer_matrix(SqueezingParams.from_db(-3.0, 7.0), budget,
+                        GainSettings(g_x, g_p))
+    assert t[2, 4] == pytest.approx(g_x, rel=REL)
+    assert t[3, 5] == pytest.approx(g_p, rel=REL)
+
+
 def test_array_angles_broadcast():
     sq = SqueezingParams.from_db(-3.0, 7.0)
-    budget = EfficiencyBudget(xi1=0.9, xi4=0.95, r_b=0.9, t_b=0.3)
+    budget = EfficiencyBudget(xi1=0.9, xi4=0.95, r_b=0.9)
     gains = GainSettings(0.9, 1.1)
     rng = np.random.default_rng(1)
     angles = tuple(0.1 * rng.standard_normal(5) for _ in range(4))

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvteleport.units import VACUUM_VARIANCE, from_db, invert_loss_channel, \
-    loss_channel, to_db
-
-
-def test_vacuum_convention():
-    assert VACUUM_VARIANCE == 1.0
+from cvteleport.units import from_db, invert_loss_channel, loss_channel, to_db
 
 
 def test_db_known_values():
