@@ -56,6 +56,19 @@ def _leak(t):
     return math.sqrt(max(0.0, 1.0 - t ** 2))
 
 
+def live_ports(budget) -> tuple[int, ...]:
+    """Ports that can reach an output: the squeezer seeds, the input, and
+    each loss port whose element leaks. push weights the loss port of a
+    lossless element by exactly 0.0, so every other column of
+    transfer_matrix is exactly zero; the ideal chain has ports 0-5 only."""
+    b = budget
+    leaks = (_leak(b.xi1), _leak(b.xi1), _leak(b.xi2 * b.eta_ax),
+             _leak(b.xi3 * b.eta_ap), _leak(b.xi4), _leak(b.xi4),
+             _leak(b.r_b), _leak(b.r_b), _leak(b.xi5 * b.eta_v),
+             _leak(b.xi5 * b.eta_v))
+    return tuple(range(6)) + tuple(6 + k for k, leak in enumerate(leaks) if leak > 0.0)
+
+
 def _cos_sin(theta):
     return np.cos(theta), np.sin(theta)
 

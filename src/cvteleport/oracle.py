@@ -1,10 +1,20 @@
 """Monte Carlo phase-space simulation of the full chain.
 
-Every vacuum port of the optical train is drawn per shot as an independent
-unit-variance Gaussian and pushed through the optical network (see
-network.py for the port order and the conventions). Wigner sampling is
-exact for this linear chain, so the estimates converge on the closed forms
-in teleporter/jitter and serve as their independent oracle.
+Every vacuum port of the optical train is a unit-variance Gaussian
+quadrature pushed through the optical network (see network.py for the port
+order and the conventions). Wigner sampling is exact for this linear chain,
+so the estimates converge on the closed forms in teleporter/jitter and
+serve as their independent oracle.
+
+At fixed lock angles the outputs of N shots are y = T z, with T the
+transfer matrix, so the sample variances read the N draws z only through
+their centred scatter, which for unit normals is Wishart(N-1, I). A chain
+without jitter therefore draws that scatter directly from its Bartlett
+factor (Bartlett 1933; Anderson, An Introduction to Multivariate
+Statistical Analysis, 7.2): 16 chi-square and at most 120 normal draws at
+any N, with the same law as the per-shot estimate. A chain with jitter
+has a fresh rotation per shot and a non-Gaussian output, so it draws its
+live ports and its four lock angles shot by shot.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import numpy as np
 
 from .epr import SqueezingParams
 from .jitter import PhaseJitter, victor_variance_jitter
-from .network import LOCKED, PORTS, push
+from .network import PORTS, live_ports, push, transfer_matrix
 from .teleporter import (
     EfficiencyBudget,
     GainSettings,
@@ -24,8 +34,9 @@ from .teleporter import (
     victor_variance,
 )
 
-# shots per chunk; the push holds a few dozen temporaries of this length
-# besides the (16, n) draws, so the chunk sets the peak memory of a run
+# shots per chunk of the jitter path; the push holds a few dozen
+# temporaries of this length besides the draws, so the chunk sets the peak
+# memory of a jittered run
 _CHUNK = 1 << 17
 
 
@@ -66,29 +77,14 @@ class ChainEstimates:
 
 def simulate_chain(config: ChainConfig) -> ChainEstimates:
     """Run the chain and estimate the variances at both stations."""
-    jit = config.jitter
-
     rng = np.random.default_rng(config.seed)
-    # accumulate (sum, sum of squares) for i_x, i_p, x_v, p_v
-    s1 = np.zeros(4)
-    s2 = np.zeros(4)
-    remaining = config.samples
-    while remaining > 0:
-        n = min(_CHUNK, remaining)
-        remaining -= n
-        z = rng.standard_normal((PORTS, n))
-        angles = LOCKED
-        if jit is not None:
-            ang = rng.standard_normal((4, n))
-            angles = (jit.theta_e_rms * ang[0], jit.theta_ax_rms * ang[1],
-                      jit.theta_ap_rms * ang[2], jit.theta_b_rms * ang[3])
-        outputs = push(z, config.squeezing, config.budget, config.gains, angles)
-        for k, series in enumerate(outputs):
-            s1[k] += series.sum()
-            s2[k] += (series * series).sum()
-
     n_tot = config.samples
-    variances = (s2 - s1 * s1 / n_tot) / (n_tot - 1)
+    if config.jitter is None:
+        t = transfer_matrix(config.squeezing, config.budget, config.gains)
+        ta = t @ _wishart_factor(rng, n_tot - 1)
+        variances = (ta * ta).sum(axis=1) / (n_tot - 1)
+    else:
+        variances = _jittered_variances(config, rng)
     var_se = variances * math.sqrt(2.0 / (n_tot - 1))
 
     def var_est(k):
@@ -101,6 +97,45 @@ def simulate_chain(config: ChainConfig) -> ChainEstimates:
         sigma_v_p=var_est(3),
         samples=n_tot,
     )
+
+
+def _wishart_factor(rng, dof: int) -> np.ndarray:
+    """A (PORTS, min(PORTS, dof)) lower-trapezoidal A with A A^T ~
+    Wishart(dof, I): chi-square diagonal of falling degrees of freedom,
+    unit normals below it. For dof < PORTS it is the LQ factor of a
+    (PORTS, dof) Gaussian matrix, so the singular case needs no branch."""
+    m = min(PORTS, dof)
+    a = np.zeros((PORTS, m))
+    a[np.diag_indices(m)] = np.sqrt(rng.chisquare(dof - np.arange(m)))
+    below = np.tril_indices(PORTS, -1, m)
+    a[below] = rng.standard_normal(below[0].size)
+    return a
+
+
+def _jittered_variances(config: ChainConfig, rng) -> np.ndarray:
+    # per chunk, one draw of the live ports followed by the four angle rows;
+    # the loss ports of lossless elements stay the scalar 0.0
+    jit = config.jitter
+    rms = (jit.theta_e_rms, jit.theta_ax_rms, jit.theta_ap_rms, jit.theta_b_rms)
+    live = live_ports(config.budget)
+    z = [0.0] * PORTS
+    # accumulate (sum, sum of squares) for i_x, i_p, x_v, p_v
+    s1 = np.zeros(4)
+    s2 = np.zeros(4)
+    remaining = config.samples
+    while remaining > 0:
+        n = min(_CHUNK, remaining)
+        remaining -= n
+        draws = rng.standard_normal((len(live) + 4, n))
+        for port, row in zip(live, draws):
+            z[port] = row
+        angles = tuple(r * row for r, row in zip(rms, draws[len(live):]))
+        outputs = push(z, config.squeezing, config.budget, config.gains, angles)
+        for k, series in enumerate(outputs):
+            s1[k] += series.sum()
+            s2[k] += (series * series).sum()
+    n_tot = config.samples
+    return (s2 - s1 * s1 / n_tot) / (n_tot - 1)
 
 
 def closed_form_reference(config: ChainConfig) -> dict:

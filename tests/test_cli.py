@@ -1,6 +1,7 @@
 """Command line behavior: CSV contract, config files, exit codes."""
 
 import csv
+import math
 import subprocess
 import sys
 
@@ -88,6 +89,17 @@ def test_single_sample_oracle_scan_names_samples(capsys):
     assert code == 2
     assert out == ""
     assert "samples" in err
+
+
+def test_two_sample_oracle_scan_runs(capsys):
+    # two shots are the smallest Monte Carlo: a rank-1 scatter per cell
+    code, out, err = run_cli(["run", "fig2", "--oracle", "--samples", "2"], capsys)
+    assert code in (0, 1)
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0][-4:] == ["victor_mc_db", "victor_mc_se", "alice_mc_db",
+                            "alice_mc_se"]
+    assert len(rows) == 42
+    assert all(math.isfinite(float(value)) for row in rows[1:] for value in row)
 
 
 def test_epr_correlations_vacuum_check_off_zero_start(capsys):

@@ -2,12 +2,15 @@
 
 diag(T T^T) is the exact, deterministic covariance of the chain at fixed
 lock angles; it must reproduce the sender and verifier variances of
-teleporter.py, which are derived independently.
+teleporter.py, which are derived independently. On any draw z the per-shot
+push and T agree, y = T z, which is what lets the oracle sample the scatter
+of z in place of the shots.
 """
 
 import ast
 import dataclasses
 import importlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 import cvteleport.network as network
 from cvteleport.epr import SqueezingParams
-from cvteleport.network import PORTS, transfer_matrix
+from cvteleport.network import PORTS, live_ports, push, transfer_matrix
 from cvteleport.scenarios import OracleGridParams, grid_configs
 from cvteleport.teleporter import EfficiencyBudget, GainSettings, alice_variance, \
     victor_variance
@@ -37,19 +40,31 @@ def _assert_covariance_matches(squeezing, budget, gains):
         assert got == pytest.approx(want, rel=REL), name
 
 
+def _assert_scatter_identity(squeezing, budget, gains):
+    # on one shared draw the per-shot sum of y y^T is T (sum of z z^T) T^T
+    z = np.random.default_rng(0).standard_normal((PORTS, 3000))
+    per_shot = np.array(push(z, squeezing, budget, gains))
+    per_shot = per_shot @ per_shot.T
+    t = transfer_matrix(squeezing, budget, gains)
+    via_scatter = t @ (z @ z.T) @ t.T
+    diag = np.diag(per_shot)
+    assert np.all(np.abs(per_shot - via_scatter) <= REL * np.sqrt(np.outer(diag, diag)))
+
+
 def test_covariance_on_every_loss_grid_config():
     configs = [config for _, config in grid_configs(OracleGridParams(), seed=0)
                if config.jitter is None]
     assert len(configs) == 27
     for config in configs:
         _assert_covariance_matches(config.squeezing, config.budget, config.gains)
+        _assert_scatter_identity(config.squeezing, config.budget, config.gains)
 
 
 efficiency = st.floats(min_value=0.05, max_value=1.0)
 
 
 @st.composite
-def budgets(draw):
+def budgets(draw, efficiency=efficiency):
     return EfficiencyBudget(
         xi1=draw(efficiency), xi2=draw(efficiency), xi3=draw(efficiency),
         xi4=draw(efficiency), xi5=draw(efficiency),
@@ -67,6 +82,32 @@ def budgets(draw):
 def test_covariance_on_random_chains(r_minus, excess, budget, g_x, g_p):
     squeezing = SqueezingParams(r_minus, r_minus + excess)
     _assert_covariance_matches(squeezing, budget, GainSettings(g_x, g_p))
+    _assert_scatter_identity(squeezing, budget, GainSettings(g_x, g_p))
+
+
+angle = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(budget=budgets(st.one_of(st.just(1.0), efficiency)),
+       angles=st.tuples(angle, angle, angle, angle),
+       g_x=st.floats(min_value=0.0, max_value=2.0),
+       g_p=st.floats(min_value=0.0, max_value=2.0))
+def test_ports_outside_the_live_set_never_reach_an_output(budget, angles, g_x, g_p):
+    live = live_ports(budget)
+    dead = [port for port in range(PORTS) if port not in live]
+    t = transfer_matrix(SqueezingParams.from_db(-3.0, 7.0), budget,
+                        GainSettings(g_x, g_p), angles)
+    assert np.all(t[:, dead] == 0.0)
+
+
+def test_live_ports_of_ideal_and_lossy_chains():
+    assert live_ports(EfficiencyBudget.ideal()) == tuple(range(6))
+    lossy = EfficiencyBudget(xi1=0.99, xi2=0.99, xi3=0.99, xi4=0.99, xi5=0.99,
+                             alpha_ax=0.99, alpha_ap=0.99, alpha_v=0.99, r_b=0.99)
+    assert live_ports(lossy) == tuple(range(PORTS))
+    # a lossy sender x arm opens its one port only
+    assert live_ports(EfficiencyBudget(alpha_ax=0.9)) == tuple(range(6)) + (8,)
 
 
 @settings(max_examples=300, deadline=None)
