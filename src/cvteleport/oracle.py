@@ -13,13 +13,31 @@ without jitter therefore draws that scatter directly from its Bartlett
 factor (Bartlett 1933; Anderson, An Introduction to Multivariate
 Statistical Analysis, 7.2): 16 chi-square and at most 120 normal draws at
 any N, with the same law as the per-shot estimate. A chain with jitter
-has a fresh rotation per shot and a non-Gaussian output, so it draws its
-live ports and its four lock angles shot by shot.
+has a fresh rotation per shot and a non-Gaussian output, so it is sampled
+shot by shot, in chunks of _CHUNK shots:
+
+- stream layout: chunk k of ceil(N/_CHUNK) (the last one short) draws from
+  default_rng(SeedSequence(seed).spawn(ceil(N/_CHUNK))[k]) one
+  standard-normal array of shape (len(live_ports) + live angles, n_k): the
+  live ports (network.live_ports) in port order, then the rows of the lock
+  angles whose rms is > 0, in the order (theta_e, theta_ax, theta_ap,
+  theta_b), scaled by their rms. Dead ports and dead angles are the scalar
+  0.0;
+- each chunk returns its centred moments (n, mean, M2) of the four
+  outputs, and the chunks merge in chunk order (Chan, Golub and LeVeque
+  1979), so the estimate depends on the seed and N alone, never on how
+  many cores run the chunks;
+- the chunks run on a thread pool (numpy's draws and ufuncs release the
+  GIL) of one worker per usable CPU, capped so that at most _IN_FLIGHT
+  shots are drawn at once whatever the core count. Each worker draws into
+  and collects from buffers of its own, pushing _BLOCK shots at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +52,20 @@ from .teleporter import (
     victor_variance,
 )
 
-# shots per chunk of the jitter path; the push holds a few dozen
-# temporaries of this length besides the draws, so the chunk sets the peak
-# memory of a jittered run
-_CHUNK = 1 << 17
+# shots per chunk of the jitter path, and so the length of one seed stream
+# (see the module docstring); changing it changes every jitter estimate.
+# Each worker holds one chunk's draws and outputs in buffers of its own, so
+# _IN_FLIGHT, the most shots the workers hold at once, sets the peak memory
+# of a jittered run on any number of cores
+_CHUNK = 1 << 15
+_IN_FLIGHT = 1 << 17
+# shots per push within a chunk; no result depends on it. Push's
+# temporaries are then 64 KiB each and go back to the heap's free lists to
+# be reused. A whole-chunk push makes several MiB of 256 KiB temporaries,
+# which the allocator returns to the system and faults in afresh: some
+# 140,000 to 180,000 page faults per oracle-grid pass, the count and so the
+# pass time changing from one run to the next
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -77,14 +105,13 @@ class ChainEstimates:
 
 def simulate_chain(config: ChainConfig) -> ChainEstimates:
     """Run the chain and estimate the variances at both stations."""
-    rng = np.random.default_rng(config.seed)
     n_tot = config.samples
     if config.jitter is None:
         t = transfer_matrix(config.squeezing, config.budget, config.gains)
-        ta = t @ _wishart_factor(rng, n_tot - 1)
+        ta = t @ _wishart_factor(np.random.default_rng(config.seed), n_tot - 1)
         variances = (ta * ta).sum(axis=1) / (n_tot - 1)
     else:
-        variances = _jittered_variances(config, rng)
+        variances = _jittered_variances(config)
     var_se = variances * math.sqrt(2.0 / (n_tot - 1))
 
     def var_est(k):
@@ -112,30 +139,81 @@ def _wishart_factor(rng, dof: int) -> np.ndarray:
     return a
 
 
-def _jittered_variances(config: ChainConfig, rng) -> np.ndarray:
-    # per chunk, one draw of the live ports followed by the four angle rows;
-    # the loss ports of lossless elements stay the scalar 0.0
+def _workers() -> int:
+    """Threads for the jitter chunks: the CPUs this process may run on,
+    at most _IN_FLIGHT // _CHUNK."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _IN_FLIGHT // _CHUNK)
+
+
+def _merge_moments(a, b):
+    """Merge the centred moments (n, mean, M2) of two disjoint samples
+    (Chan, Golub and LeVeque 1979); M2 is the sum of squared deviations
+    from the mean, so no large sum of squares is ever differenced."""
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return (n, mean_a + delta * (n_b / n),
+            m2_a + m2_b + delta * delta * (n_a * n_b / n))
+
+
+def _jittered_variances(config: ChainConfig) -> np.ndarray:
     jit = config.jitter
     rms = (jit.theta_e_rms, jit.theta_ax_rms, jit.theta_ap_rms, jit.theta_b_rms)
     live = live_ports(config.budget)
-    z = [0.0] * PORTS
-    # accumulate (sum, sum of squares) for i_x, i_p, x_v, p_v
-    s1 = np.zeros(4)
-    s2 = np.zeros(4)
-    remaining = config.samples
-    while remaining > 0:
-        n = min(_CHUNK, remaining)
-        remaining -= n
-        draws = rng.standard_normal((len(live) + 4, n))
-        for port, row in zip(live, draws):
-            z[port] = row
-        angles = tuple(r * row for r, row in zip(rms, draws[len(live):]))
-        outputs = push(z, config.squeezing, config.budget, config.gains, angles)
-        for k, series in enumerate(outputs):
-            s1[k] += series.sum()
-            s2[k] += (series * series).sum()
-    n_tot = config.samples
-    return (s2 - s1 * s1 / n_tot) / (n_tot - 1)
+    live_angles = [k for k, r in enumerate(rms) if r > 0.0]
+    n_chunks = -(-config.samples // _CHUNK)
+    streams = np.random.SeedSequence(config.seed).spawn(n_chunks)
+
+    rows = len(live) + len(live_angles)
+    workers = min(_workers(), n_chunks)
+    # imported here: concurrent.futures loads logging, which the package's
+    # cold start does without
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
+
+    # one (draws, outputs) buffer pair per worker, lent to one chunk at a time
+    spare = queue.SimpleQueue()
+    for _ in range(workers):
+        spare.put((np.empty(rows * _CHUNK), np.empty(4 * _CHUNK)))
+
+    def chunk_moments(k):
+        # moments of (i_x, i_p, x_v, p_v) over chunk k, drawn as the module
+        # docstring lays out
+        n = min(_CHUNK, config.samples - k * _CHUNK)
+        buffers = spare.get()
+        try:
+            draws = buffers[0][:rows * n].reshape(rows, n)
+            outputs = buffers[1][:4 * n].reshape(4, n)
+            np.random.default_rng(streams[k]).standard_normal(out=draws)
+            for start in range(0, n, _BLOCK):
+                block = draws[:, start:start + _BLOCK]
+                z = [0.0] * PORTS
+                for port, row in zip(live, block):
+                    z[port] = row
+                angles = [0.0] * 4
+                for a, row in zip(live_angles, block[len(live):]):
+                    angles[a] = rms[a] * row
+                series = push(z, config.squeezing, config.budget, config.gains, angles)
+                for out, values in zip(outputs[:, start:start + _BLOCK], series):
+                    out[...] = values
+            mean = outputs.mean(axis=1)
+            outputs -= mean[:, None]
+            np.multiply(outputs, outputs, out=outputs)
+            return n, mean, outputs.sum(axis=1)
+        finally:
+            # returned even by a failing chunk, or the chunks still queued
+            # would wait for it forever
+            spare.put(buffers)
+
+    with ThreadPoolExecutor(workers) as pool:
+        moments = list(pool.map(chunk_moments, range(n_chunks)))
+    n_tot, _, m2 = functools.reduce(_merge_moments, moments)
+    return m2 / (n_tot - 1)
 
 
 def closed_form_reference(config: ChainConfig) -> dict:

@@ -201,7 +201,23 @@ def _run_fig2(p: Fig2Params, opt: RunOptions) -> ScenarioResult:
                     to_db(est.sigma_a_x.value),
                     10.0 / LN10 * est.sigma_a_x.stderr / est.sigma_a_x.value]
         rows.append(tuple(row))
-    return ScenarioResult(tuple(columns), tuple(rows))
+    checks = ()
+    if p.oracle:
+        # the grid's rule, on the dB values as the CSV prints them, so a
+        # reader grading the CSV gets the same z-scores
+        col = columns.index
+        z = [(_printed(row[col(f"{station}_mc_db")]) - _printed(row[col(f"{station}_db")]))
+             / _printed(row[col(f"{station}_mc_se")])
+             for row in rows for station in ("victor", "alice")]
+        within = sum(abs(score) <= 3.0 for score in z)
+        checks = (Check("Monte Carlo cells within 3 standard errors (fraction)",
+                        within / len(z), 1.0, 0.05, "model"),)
+    return ScenarioResult(tuple(columns), tuple(rows), checks)
+
+
+def _printed(value: float) -> float:
+    # a float as the CSV writes it, at 10 significant digits
+    return float(format(value, ".10g"))
 
 
 # --- fig3: fidelity vs squeezing ---

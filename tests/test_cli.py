@@ -102,6 +102,28 @@ def test_two_sample_oracle_scan_runs(capsys):
     assert all(math.isfinite(float(value)) for row in rows[1:] for value in row)
 
 
+def test_oracle_scan_grades_its_monte_carlo_columns(capsys):
+    code, _, err = run_cli(["run", "fig2", "--oracle"], capsys)
+    assert code == 0
+    assert "[ok] Monte Carlo cells within 3 standard errors" in err
+    assert "1/1 checks passed" in err
+    # the plain scan samples nothing and grades nothing
+    code, _, err = run_cli(["run", "fig2"], capsys)
+    assert code == 0
+    assert err == "0/0 checks passed\n"
+
+
+def test_oracle_scan_below_the_grid_rule_fails(capsys):
+    # at two shots a cell's estimate is chi-square(1)-shaped, and at this
+    # seed only 74 of the 82 cells lie within 3 SE
+    code, out, err = run_cli(["run", "fig2", "--oracle", "--samples", "2",
+                              "--seed", "12345"], capsys)
+    assert code == 1
+    assert "[FAIL] Monte Carlo cells within 3 standard errors (fraction): " \
+           "value=0.90243902" in err
+    assert len(out.splitlines()) == 42
+
+
 def test_epr_correlations_vacuum_check_off_zero_start(capsys):
     # the vacuum check is evaluated on the vacuum itself, not on row one
     code, _, err = run_cli(["run", "epr-correlations", "--set", "start_db=3"],

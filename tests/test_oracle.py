@@ -1,15 +1,19 @@
 """Phase-space Monte Carlo against the closed-form station variances."""
 
+import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from cvteleport.epr import SqueezingParams
 from cvteleport.jitter import PhaseJitter, victor_variance_jitter
-from cvteleport.network import PORTS, live_ports, transfer_matrix
-from cvteleport.oracle import _CHUNK, ChainConfig, _wishart_factor, \
-    closed_form_reference, simulate_chain
+from cvteleport import oracle
+from cvteleport.network import PORTS, live_ports, push, transfer_matrix
+from cvteleport.oracle import _CHUNK, ChainConfig, _merge_moments, \
+    _wishart_factor, closed_form_reference, simulate_chain
 from cvteleport.scenarios import OracleGridParams, grid_configs
 from cvteleport.teleporter import EfficiencyBudget, GainSettings, \
     alice_variance, victor_variance
@@ -78,17 +82,121 @@ def test_jitter_chain_matches_quadratic_law():
     assert abs(est.sigma_v_x.value - predicted) < 3.5 * est.sigma_v_x.stderr
 
 
-def _drawn_angle_average(config):
-    # replay the one chunk's draws: the live ports, then the four angle rows
-    assert config.samples <= _CHUNK
+def _replayed_chunks(config):
+    """Every chunk's (ports, angles) of a jittered run, rebuilt from the
+    documented streams: chunk k draws from child k of SeedSequence(seed),
+    the live ports first, then the rows of the angles with nonzero rms."""
     jit = config.jitter
     rms = (jit.theta_e_rms, jit.theta_ax_rms, jit.theta_ap_rms, jit.theta_b_rms)
-    n_live = len(live_ports(config.budget))
-    rows = np.random.default_rng(config.seed).standard_normal(
-        (n_live + 4, config.samples))[n_live:]
-    angles = tuple(r * row for r, row in zip(rms, rows))
-    t = transfer_matrix(config.squeezing, config.budget, config.gains, angles)
-    return (t * t).sum(axis=-1).mean(axis=0)
+    live = live_ports(config.budget)
+    live_angles = [k for k, r in enumerate(rms) if r > 0.0]
+    n_chunks = -(-config.samples // _CHUNK)
+    streams = np.random.SeedSequence(config.seed).spawn(n_chunks)
+    for k, stream in enumerate(streams):
+        n = min(_CHUNK, config.samples - k * _CHUNK)
+        draws = np.random.default_rng(stream).standard_normal(
+            (len(live) + len(live_angles), n))
+        z = [0.0] * PORTS
+        for port, row in zip(live, draws):
+            z[port] = row
+        angles = [0.0] * 4
+        for a, row in zip(live_angles, draws[len(live):]):
+            angles[a] = rms[a] * row
+        yield z, tuple(angles)
+
+
+def _drawn_angle_average(config):
+    # diag(T T^T) averaged over the run's own replayed angles
+    sums = 0.0
+    for _, angles in _replayed_chunks(config):
+        t = transfer_matrix(config.squeezing, config.budget, config.gains, angles)
+        sums = sums + (t * t).sum(axis=-1).sum(axis=0)
+    return sums / config.samples
+
+
+def test_jitter_estimates_replay_from_the_chunk_streams():
+    # three chunks, the last one short, on a lossy chain whose theta_e and
+    # theta_b are live and whose sender angles are dead
+    config = ChainConfig(squeezing=SqueezingParams.from_db(-3.0, 7.0),
+                         budget=EfficiencyBudget(xi1=0.8, alpha_ax=0.7, alpha_v=0.8),
+                         gains=GainSettings(0.9, 1.1),
+                         jitter=PhaseJitter.from_degrees(theta_e=4.0, theta_b=3.0),
+                         samples=2 * _CHUNK + 7, seed=29)
+    outputs = np.concatenate(
+        [np.array(push(z, config.squeezing, config.budget, config.gains, angles))
+         for z, angles in _replayed_chunks(config)], axis=1)
+    assert outputs.shape == (4, config.samples)
+    expected = outputs.var(axis=1, ddof=1)
+    est = simulate_chain(config)
+    for k, key in enumerate(("sigma_a_x", "sigma_a_p", "sigma_v_x", "sigma_v_p")):
+        assert getattr(est, key).value == pytest.approx(expected[k], rel=1e-12), key
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_jitter_estimates_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    config = ChainConfig(squeezing=SqueezingParams.from_db(-3.0, 7.0), budget=AS_BUILT,
+                         jitter=PhaseJitter.from_degrees(4.0, 2.0, 3.0, 5.0),
+                         samples=3 * _CHUNK + 11, seed=31)
+    default = simulate_chain(config)
+    monkeypatch.setattr(oracle, "_workers", lambda: workers)
+    # switch threads as often as the interpreter allows, so a chunk that
+    # read another's state would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert simulate_chain(config) == default
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_jitter_estimates_do_not_depend_on_the_push_block(monkeypatch):
+    # a block that divides neither the chunk nor the short last chunk
+    config = ChainConfig(squeezing=SqueezingParams.from_db(-3.0, 7.0), budget=AS_BUILT,
+                         jitter=PhaseJitter.from_degrees(4.0, 0.0, 3.0, 5.0),
+                         samples=2 * _CHUNK + 1001, seed=37)
+    default = simulate_chain(config)
+    monkeypatch.setattr(oracle, "_BLOCK", 999)
+    assert simulate_chain(config) == default
+
+
+def test_a_failing_chunk_raises_instead_of_stalling_the_pool(monkeypatch):
+    def broken_push(*args):
+        raise RuntimeError("push failed")
+
+    monkeypatch.setattr(oracle, "push", broken_push)
+    monkeypatch.setattr(oracle, "_workers", lambda: 2)
+    config = ChainConfig(jitter=PhaseJitter.from_degrees(theta_e=2.0),
+                         samples=4 * _CHUNK, seed=3)
+    raised = []
+
+    def run():
+        try:
+            simulate_chain(config)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60.0)
+    assert not caller.is_alive(), "the pool stalled"
+    assert raised
+
+
+def test_merge_moments_matches_two_pass_variance():
+    # uneven chunks of data far from zero, where s2 - s1**2/n loses every
+    # digit. Each chunk mean is itself rounded to within half an ulp of 1e8
+    # (7.5e-9), which enters the merged M2 at first order: about 1e-10
+    # relative here, so that is the floor of any merge of float64 means
+    sizes = (5, 3, 1000, 2 ** 15 + 1)
+    x = 1e8 + np.random.default_rng(41).standard_normal(sum(sizes))
+    chunks = []
+    for part in np.split(x, np.cumsum(sizes)[:-1]):
+        mean = part.mean()
+        chunks.append((part.size, mean, ((part - mean) ** 2).sum()))
+    n, mean, m2 = functools.reduce(_merge_moments, chunks)
+    assert n == x.size
+    assert mean == pytest.approx(x.mean(), rel=1e-15)
+    assert m2 / (n - 1) == pytest.approx(x.var(ddof=1), rel=1e-9)
 
 
 @pytest.mark.parametrize("budget", [
