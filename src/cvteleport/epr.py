@@ -14,8 +14,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .network import epr_source
 from .units import from_db, to_db
 
@@ -89,30 +87,33 @@ class SqueezingParams:
         return cls.from_variances(from_db(minus_db), from_db(plus_db))
 
 
-def output_matrix(squeezing: SqueezingParams) -> np.ndarray:
-    """Coefficients of the two EPR beams over the seed vacuum quadratures.
+# the unit vectors over the seeds (x1_0, p1_0, x2_0, p2_0)
+_UNIT_SEEDS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+               (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
-    Rows are (x_1, p_1, x_2, p_2), columns the unit-variance vacuum
-    operators (x1_0, p1_0, x2_0, p2_0) entering the two squeezers: the
-    network's EPR stage, locked (theta_e = 0), applied to the identity.
-    """
-    return np.array(epr_source(np.eye(4), squeezing))
+
+def _seed_columns(squeezing: SqueezingParams) -> list[tuple]:
+    """Coefficients of the two EPR beams (x_1, p_1, x_2, p_2) on each unit
+    seed, one tuple per seed: the network's EPR stage, locked
+    (theta_e = 0), pushed one seed at a time with no arrays involved."""
+    return [epr_source(seed, squeezing) for seed in _UNIT_SEEDS]
 
 
 def sum_difference_variances(squeezing: SqueezingParams) -> dict:
     """Variances of x1 -+ x2 and p1 +- p2 for the locked pair.
 
     The quiet pair is {x_minus, p_plus} at 2*sigma_minus; the loud pair
-    {x_plus, p_minus} at 2*sigma_plus. Computed from the coefficient matrix
-    so there is a single source of truth for the signs.
+    {x_plus, p_minus} at 2*sigma_plus. Summed over the network's seed
+    coefficients so there is a single source of truth for the signs.
     """
-    x1, p1, x2, p2 = output_matrix(squeezing)
-    return {
-        "x_minus": float(np.sum((x1 - x2) ** 2)),
-        "x_plus": float(np.sum((x1 + x2) ** 2)),
-        "p_plus": float(np.sum((p1 + p2) ** 2)),
-        "p_minus": float(np.sum((p1 - p2) ** 2)),
-    }
+    x_minus = x_plus = p_plus = p_minus = 0.0
+    for x1, p1, x2, p2 in _seed_columns(squeezing):
+        x_minus += (x1 - x2) * (x1 - x2)
+        x_plus += (x1 + x2) * (x1 + x2)
+        p_plus += (p1 + p2) * (p1 + p2)
+        p_minus += (p1 - p2) * (p1 - p2)
+    return {"x_minus": x_minus, "x_plus": x_plus, "p_plus": p_plus,
+            "p_minus": p_minus}
 
 
 def single_beam_variance(squeezing: SqueezingParams) -> float:
@@ -121,8 +122,7 @@ def single_beam_variance(squeezing: SqueezingParams) -> float:
     Identical for both beams and both quadratures, so a single homodyne on
     one beam never resolves the correlations.
     """
-    x1 = output_matrix(squeezing)[0]
-    return float(np.sum(x1 ** 2))
+    return sum(x1 * x1 for x1, _, _, _ in _seed_columns(squeezing))
 
 
 def correlation_product(squeezing: SqueezingParams) -> float:

@@ -70,6 +70,10 @@ def live_ports(budget) -> tuple[int, ...]:
 
 
 def _cos_sin(theta):
+    if isinstance(theta, float):
+        # a scalar angle, such as the locked 0.0, keeps the arithmetic in
+        # plain floats
+        return math.cos(theta), math.sin(theta)
     return np.cos(theta), np.sin(theta)
 
 

@@ -9,10 +9,9 @@ through the measurement chain. Pump powers are in watts, frequencies in Hz.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .epr import SqueezingParams
 from .units import from_db, invert_loss_channel, loss_channel
@@ -42,7 +41,21 @@ class BliiraTable:
             raise ValueError("pumps must be >= 0 and losses in [0, 1)")
 
     def __call__(self, pump: float) -> float:
-        return float(np.interp(pump, self.pump_w, self.loss))
+        # np.interp's values without its per-call array set-up: the end
+        # values outside the table, a table point exactly, linear between
+        xp, fp = self.pump_w, self.loss
+        pump = float(pump)
+        if len(xp) == 1 or pump <= xp[0]:
+            return float(fp[0])
+        if pump >= xp[-1]:
+            return float(fp[-1])
+        if math.isnan(pump):
+            return pump
+        j = bisect.bisect_right(xp, pump) - 1
+        if xp[j] == pump:
+            return float(fp[j])
+        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+        return slope * (pump - xp[j]) + fp[j]
 
     @classmethod
     def default(cls):

@@ -3,6 +3,14 @@
 Each check draws its cases from a seeded generator and reports a small
 result record, so the same suite runs under pytest and from the command
 line. Checks are deterministic per (seed, cases).
+
+Case layout: a check draws all its cases in one call, a (cases, k) block of
+uniforms with one column per random input and row i holding case i. The
+block becomes Python floats before the loop, and every case then calls the
+public scalar function under test once, as a caller would. The generator
+fills the block row by row, so the first m cases of a run at n >= m cases
+are exactly the run at m cases, with the same seed: a counterexample found
+at 1000 cases reproduces at any smaller count that still reaches it.
 """
 
 from __future__ import annotations
@@ -35,12 +43,22 @@ def _result(name, cases, bad_examples):
     return PropertyResult(name, cases, len(bad_examples), note)
 
 
+def _draw(rng, cases: int, ranges) -> list[list[float]]:
+    """One (cases, len(ranges)) block of uniform draws as Python floats.
+
+    Column j is uniform on ranges[j] = (low, high) and row i is case i. The
+    generator fills the block in row-major order, so the first m rows of a
+    block of n >= m cases are the whole block of m cases.
+    """
+    low, high = zip(*ranges)
+    return rng.uniform(low, high, size=(cases, len(ranges))).tolist()
+
+
 def check_db_roundtrip(rng, cases: int) -> PropertyResult:
     """from_db(to_db(v)) returns v to 1e-12 relative over 12 decades."""
     bad = []
-    values = 10.0 ** rng.uniform(-6.0, 6.0, size=cases)
-    for v in values:
-        rt = from_db(to_db(float(v)))
+    for v in (10.0 ** rng.uniform(-6.0, 6.0, size=cases)).tolist():
+        rt = from_db(to_db(v))
         if abs(rt - v) > 1e-12 * v:
             bad.append(f"v={v!r} roundtrip={rt!r}")
     return _result("db_roundtrip", cases, bad)
@@ -49,10 +67,8 @@ def check_db_roundtrip(rng, cases: int) -> PropertyResult:
 def check_loss_composition(rng, cases: int) -> PropertyResult:
     """Two loss channels compose to one with the product transmission."""
     bad = []
-    for _ in range(cases):
-        v = float(10.0 ** rng.uniform(-3.0, 3.0))
-        t1 = float(rng.uniform(0.0, 1.0))
-        t2 = float(rng.uniform(0.0, 1.0))
+    for log_v, t1, t2 in _draw(rng, cases, ((-3.0, 3.0), (0.0, 1.0), (0.0, 1.0))):
+        v = 10.0 ** log_v
         chained = loss_channel(loss_channel(v, t1), t2)
         direct = loss_channel(v, t1 * t2)
         if abs(chained - direct) > 1e-12 * max(1.0, abs(direct)):
@@ -63,9 +79,9 @@ def check_loss_composition(rng, cases: int) -> PropertyResult:
 def check_epr_witness(rng, cases: int) -> PropertyResult:
     """var(x1-x2)*var(p1+p2) = 4 sigma_minus^2, below 4 iff squeezed."""
     bad = []
-    for _ in range(cases):
-        r_minus = float(10.0 ** rng.uniform(-3.0, math.log10(2.0)))
-        r_plus = r_minus + float(rng.uniform(0.0, 1.0))
+    for log_r, excess in _draw(rng, cases, ((-3.0, math.log10(2.0)), (0.0, 1.0))):
+        r_minus = 10.0 ** log_r
+        r_plus = r_minus + excess
         product = correlation_product(SqueezingParams(r_minus, r_plus))
         expected = 4.0 * math.exp(-4.0 * r_minus)
         if abs(product - expected) > 1e-9 * expected or not product < 4.0:
@@ -79,16 +95,15 @@ def check_epr_witness(rng, cases: int) -> PropertyResult:
 def check_fidelity_bounds(rng, cases: int) -> PropertyResult:
     """Fidelity stays in (0, 1] and never improves with amplitude mismatch."""
     bad = []
-    for _ in range(cases):
+    two_pi = 2.0 * math.pi
+    ranges = ((-1.5, 1.5), (0.0, 4.0),
+              (0.0, 50.0), (0.0, two_pi), (0.0, 50.0), (0.0, two_pi))
+    for balance, excess, p_in, phase_in, p_out, phase_out in _draw(rng, cases, ranges):
         # physical output states only: sx*sp >= 1, excess noise on top
-        balance = float(rng.uniform(-1.5, 1.5))
-        excess = float(rng.uniform(0.0, 4.0))
         sx = math.exp(balance)
         sp = math.exp(-balance + excess)
-        b_in = CoherentAmplitude(float(rng.uniform(0.0, 50.0)),
-                                 float(rng.uniform(0.0, 2.0 * math.pi)))
-        b_out = CoherentAmplitude(float(rng.uniform(0.0, 50.0)),
-                                  float(rng.uniform(0.0, 2.0 * math.pi)))
+        b_in = CoherentAmplitude(p_in, phase_in)
+        b_out = CoherentAmplitude(p_out, phase_out)
         matched = fidelity(sx, sp, b_in, b_in)
         shifted = fidelity(sx, sp, b_in, b_out)
         if not (0.0 < shifted <= matched <= 1.0 + 1e-12):
@@ -99,22 +114,18 @@ def check_fidelity_bounds(rng, cases: int) -> PropertyResult:
 def check_uncertainty_preserved(rng, cases: int) -> PropertyResult:
     """sigma_plus*sigma_minus >= 1 out of the cavity and through any loss."""
     bad = []
-    for _ in range(cases):
-        opo = OpoParams(
-            t_coupler=float(rng.uniform(0.05, 0.2)),
-            e_nl=float(rng.uniform(0.005, 0.05)),
-            l_passive=float(rng.uniform(0.0, 0.01)),
-            bliira=BliiraTable.flat(float(rng.uniform(0.0, 0.02))),
-        )
-        chain = DetectionChain(
-            propagation=float(rng.uniform(0.8, 1.0)),
-            visibility=float(rng.uniform(0.8, 1.0)),
-            quantum_efficiency=float(rng.uniform(0.8, 1.0)),
-        )
-        pump = float(rng.uniform(0.0, 0.95)) * threshold(opo)
+    ranges = ((0.05, 0.2), (0.005, 0.05), (0.0, 0.01), (0.0, 0.02),  # cavity
+              (0.8, 1.0), (0.8, 1.0), (0.8, 1.0),  # detection chain
+              (0.0, 0.95), (0.5, 1.0))  # pump over threshold, extra loss
+    for (t_coupler, e_nl, l_passive, extra, propagation, visibility, qe,
+         pump_ratio, t) in _draw(rng, cases, ranges):
+        opo = OpoParams(t_coupler=t_coupler, e_nl=e_nl, l_passive=l_passive,
+                        bliira=BliiraTable.flat(extra))
+        chain = DetectionChain(propagation=propagation, visibility=visibility,
+                               quantum_efficiency=qe)
+        pump = pump_ratio * threshold(opo)
         detected = squeezing_vs_pump(opo, chain, pump)
         product = detected.sigma_minus * detected.sigma_plus
-        t = float(rng.uniform(0.5, 1.0))
         lossy = (loss_channel(detected.sigma_minus, t)
                  * loss_channel(detected.sigma_plus, t))
         if product < 1.0 - 1e-12 or lossy < 1.0 - 1e-12:

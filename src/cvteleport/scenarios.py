@@ -108,6 +108,14 @@ def _holds_everywhere(name: str, holds: list, source: str) -> Check:
     return Check(name, 1.0 if holds and all(holds) else 0.0, 1.0, 0.0, source)
 
 
+def _within_3se(name: str, within: int, compared: int) -> Check:
+    """At least 95% of the compared Monte Carlo cells lie within 3 standard
+    errors. Graded on the count, so exactly 95% passes: compared // 20 cells
+    may miss. An empty comparison fails."""
+    return Check(f"{name} within 3 standard errors (count)", float(within),
+                 float(compared or 1), float(compared // 20), "model")
+
+
 # --- parameter overrides ---
 
 def _coerce(raw: str, current, key: str):
@@ -210,8 +218,7 @@ def _run_fig2(p: Fig2Params, opt: RunOptions) -> ScenarioResult:
              / _printed(row[col(f"{station}_mc_se")])
              for row in rows for station in ("victor", "alice")]
         within = sum(abs(score) <= 3.0 for score in z)
-        checks = (Check("Monte Carlo cells within 3 standard errors (fraction)",
-                        within / len(z), 1.0, 0.05, "model"),)
+        checks = (_within_3se("Monte Carlo cells", within, len(z)),)
     return ScenarioResult(tuple(columns), tuple(rows), checks)
 
 
@@ -783,10 +790,8 @@ def _run_oracle_grid(p: OracleGridParams, opt: RunOptions) -> ScenarioResult:
             within += ok
             rows.append((label, key, estimate.value, estimate.stderr,
                          reference, z, 1 if ok else 0))
-    fraction = within / compared if compared else 0.0
     checks = [
-        Check("cells within 3 standard errors (fraction)", fraction, 1.0,
-              0.05, "model"),
+        _within_3se("cells", within, compared),
         Check("compared cells", float(compared), 118.0, 0.0, "formula"),
     ]
     columns = ("config", "observable", "estimate", "stderr", "reference",

@@ -152,7 +152,7 @@ def test_criterion_6_oracle_equivalence(capsys):
     started = time.perf_counter()
     result = run_preset("oracle-grid", RunOptions(seed=2026))
     checks = {check.name: check for check in result.checks}
-    fraction = checks["cells within 3 standard errors (fraction)"].value
+    within = checks["cells within 3 standard errors (count)"]
     compared = checks["compared cells"].value
     elapsed = time.perf_counter() - started
 
@@ -162,10 +162,10 @@ def test_criterion_6_oracle_equivalence(capsys):
                         for _, cfg in pair)
 
     ok = _report(capsys, 6, "oracle equivalence",
-                 fraction >= 0.95 and compared == 118.0 and deterministic
+                 within.passed and compared == 118.0 and deterministic
                  and elapsed < 120.0,
-                 f"{fraction:.1%} of {compared:.0f} cells within 3 SE at "
-                 f"N=1e6, {elapsed:.0f}s")
+                 f"{within.value / compared:.1%} of {compared:.0f} cells "
+                 f"within 3 SE at N=1e6, {elapsed:.0f}s")
     assert ok
 
 

@@ -119,9 +119,25 @@ def test_oracle_scan_below_the_grid_rule_fails(capsys):
     code, out, err = run_cli(["run", "fig2", "--oracle", "--samples", "2",
                               "--seed", "12345"], capsys)
     assert code == 1
-    assert "[FAIL] Monte Carlo cells within 3 standard errors (fraction): " \
-           "value=0.90243902" in err
+    assert "[FAIL] Monte Carlo cells within 3 standard errors (count): " \
+           "value=74 expected=82±4 (model)" in err
     assert len(out.splitlines()) == 42
+
+
+def test_oracle_scan_passes_at_exactly_95_percent(capsys):
+    # 19 of 20 cells within 3 SE is the grid rule's boundary and passes;
+    # as a float fraction, 1 - 19/20 = 0.05000000000000004 failed it
+    code, _, err = run_cli(["run", "fig2", "--oracle", "--samples", "3",
+                            "--set", "points=10", "--seed", "0"], capsys)
+    assert code == 0
+    assert "[ok] Monte Carlo cells within 3 standard errors (count): " \
+           "value=19 expected=20±1 (model)" in err
+    # 18 of 20 is below it
+    code, _, err = run_cli(["run", "fig2", "--oracle", "--samples", "3",
+                            "--set", "points=10", "--seed", "18"], capsys)
+    assert code == 1
+    assert "[FAIL] Monte Carlo cells within 3 standard errors (count): " \
+           "value=18 expected=20±1 (model)" in err
 
 
 def test_epr_correlations_vacuum_check_off_zero_start(capsys):

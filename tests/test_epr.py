@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvteleport.epr import SqueezingParams, correlation_product, output_matrix, \
+from cvteleport.epr import SqueezingParams, correlation_product, \
     single_beam_variance, sum_difference_variances
+from cvteleport.network import epr_source
 
 
 def test_squeezing_validation():
@@ -46,7 +47,7 @@ def test_from_db_rejects_wrong_signs():
 
 
 def test_vacuum_seeds_mix_orthogonally():
-    mat = output_matrix(SqueezingParams.vacuum())
+    mat = np.array(epr_source(np.eye(4), SqueezingParams.vacuum()))
     assert mat.shape == (4, 4)
     assert np.allclose(mat @ mat.T, np.eye(4), atol=1e-14)
 
@@ -63,6 +64,21 @@ def test_two_mode_variances_at_reference_squeezing():
     # each beam alone looks thermal at the average of the seed variances
     assert single_beam_variance(sq) == pytest.approx((sm + sp) / 2.0, rel=1e-12)
     assert single_beam_variance(sq) == pytest.approx(2.756529784949997, rel=1e-12)
+
+
+@given(st.floats(min_value=0.0, max_value=3.0),
+       st.floats(min_value=0.0, max_value=2.0))
+def test_variances_equal_the_network_coefficient_sums(r, excess):
+    # the scalar sums reproduce the network's EPR stage on np.eye(4) exactly
+    sq = SqueezingParams(r_minus=r, r_plus=r + excess)
+    x1, p1, x2, p2 = np.array(epr_source(np.eye(4), sq))
+    assert sum_difference_variances(sq) == {
+        "x_minus": float(np.sum((x1 - x2) ** 2)),
+        "x_plus": float(np.sum((x1 + x2) ** 2)),
+        "p_plus": float(np.sum((p1 + p2) ** 2)),
+        "p_minus": float(np.sum((p1 - p2) ** 2)),
+    }
+    assert single_beam_variance(sq) == float(np.sum(x1 ** 2))
 
 
 def test_witness_at_vacuum_boundary():
@@ -85,8 +101,8 @@ def test_single_beam_never_sub_vacuum(r, excess):
     assert single_beam_variance(sq) >= 1.0 - 1e-12
 
 
-def test_output_matrix_matches_sampled_statistics():
-    mat = output_matrix(SqueezingParams.from_db(-3.0, 7.0))
+def test_epr_source_matches_sampled_statistics():
+    mat = np.array(epr_source(np.eye(4), SqueezingParams.from_db(-3.0, 7.0)))
     rng = np.random.default_rng(42)
     seeds = rng.standard_normal((4, 200_000))
     sample = np.var(mat @ seeds, axis=1, ddof=1)

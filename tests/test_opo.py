@@ -29,6 +29,26 @@ def test_bliira_table():
         BliiraTable(pump_w=(0.0, 0.1), loss=(0.01, 0.0))
 
 
+@pytest.mark.parametrize("table", [
+    BliiraTable.default(),
+    BliiraTable((0.0, 0.05, 0.155), (0.0, 0.004, 0.017)),
+    BliiraTable.flat(0.01),
+])
+def test_bliira_table_matches_np_interp(table):
+    # random pumps across and beyond the table, every table point, and
+    # the floats next to both ends
+    rng = np.random.default_rng(11)
+    pumps = rng.uniform(-0.05, 0.25, size=2000).tolist() + list(table.pump_w) + [
+        0.0, 1.0, math.nextafter(table.pump_w[0], -1.0),
+        math.nextafter(table.pump_w[0], 1.0),
+        math.nextafter(table.pump_w[-1], -1.0),
+        math.nextafter(table.pump_w[-1], 1.0)]
+    for pump in pumps:
+        value = table(pump)
+        assert type(value) is float
+        assert value == float(np.interp(pump, table.pump_w, table.loss)), pump
+
+
 def test_opo_params_validation():
     with pytest.raises(ValueError):
         OpoParams(t_coupler=0.0)

@@ -1,5 +1,10 @@
 """Randomized identity checks bundled with the package."""
 
+import types
+
+import pytest
+
+from cvteleport import epr, opo, properties, teleporter, units
 from cvteleport.properties import ALL_CHECKS, PropertyResult, run_all
 
 EXPECTED_NAMES = {"db_roundtrip", "loss_composition", "epr_witness",
@@ -27,3 +32,78 @@ def test_run_all_deterministic():
 def test_result_semantics():
     assert PropertyResult("demo", 10, 0).passed
     assert not PropertyResult("demo", 10, 3, "first bad case").passed
+
+
+def _excess_noise_loss(variance, transmission):
+    # 1e-6 (1 - t) of added noise per element, which no product of
+    # transmissions reproduces (a t in place of t^2 would still compose:
+    # it is the right channel at transmission sqrt(t))
+    return units.loss_channel(variance, transmission) + 1e-6 * (1.0 - transmission)
+
+
+def _rising_fidelity(sigma_x, sigma_p, beta_in=None, beta_out=None):
+    matched = teleporter.fidelity(sigma_x, sigma_p)
+    return matched * matched / teleporter.fidelity(sigma_x, sigma_p, beta_in, beta_out)
+
+
+def _sub_uncertainty_squeezing(opo_params, chain, pump):
+    detected = opo.squeezing_vs_pump(opo_params, chain, pump)
+    return types.SimpleNamespace(sigma_minus=detected.sigma_minus,
+                                 sigma_plus=0.5 / detected.sigma_minus)
+
+
+PLANTED_FAULTS = {
+    "db_roundtrip": ("from_db", lambda level: units.from_db(level) * (1.0 + 1e-9)),
+    "loss_composition": ("loss_channel", _excess_noise_loss),
+    "epr_witness": ("correlation_product",
+                    lambda sq: epr.correlation_product(sq) * (1.0 + 1e-6)),
+    "fidelity_bounds": ("fidelity", _rising_fidelity),
+    "uncertainty_preserved": ("squeezing_vs_pump", _sub_uncertainty_squeezing),
+}
+
+
+@pytest.mark.parametrize("target", sorted(PLANTED_FAULTS))
+def test_each_property_catches_its_planted_fault(monkeypatch, target):
+    # a fault in the function one check verifies fails that check, with a
+    # counterexample, and no other
+    name, fault = PLANTED_FAULTS[target]
+    monkeypatch.setattr(properties, name, fault)
+    for result in run_all(seed=0, cases=200):
+        if result.name == target:
+            assert result.failures > 0
+            assert result.note.startswith("first counterexample: ")
+        else:
+            assert result.failures == 0, f"{result.name}: {result.note}"
+
+
+# the scalar function each check calls and how often it calls it per case
+SCALAR_CALLS = {"to_db": 1, "loss_channel": 3, "correlation_product": 1,
+                "fidelity": 2, "squeezing_vs_pump": 1}
+
+
+def _recorded_arguments(monkeypatch, seed, cases):
+    calls = {name: [] for name in SCALAR_CALLS}
+
+    def recording(name, fn):
+        def record(*args):
+            calls[name].append(args)
+            return fn(*args)
+        return record
+
+    for name in SCALAR_CALLS:
+        monkeypatch.setattr(properties, name,
+                            recording(name, getattr(properties, name)))
+    run_all(seed=seed, cases=cases)
+    monkeypatch.undo()
+    return calls
+
+
+def test_fewer_cases_are_a_prefix_of_more(monkeypatch):
+    # a counterexample found at many cases reproduces at fewer
+    short = _recorded_arguments(monkeypatch, seed=9, cases=50)
+    long = _recorded_arguments(monkeypatch, seed=9, cases=200)
+    for name, per_case in SCALAR_CALLS.items():
+        prefix = 50 * per_case
+        assert len(short[name]) >= prefix
+        assert len(long[name]) >= 200 * per_case
+        assert long[name][:prefix] == short[name][:prefix], name

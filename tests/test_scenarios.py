@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from cvteleport.scenarios import Fig2Params, Fig3Params, Fig7Params, PRESETS, \
-    RunOptions, apply_overrides, get_preset, list_presets, run_preset
+    RunOptions, _within_3se, apply_overrides, get_preset, list_presets, run_preset
 
 REQUIRED = {"fig2", "fig3", "fig4", "fig7", "opo-gain", "fidelity-anchors",
             "fig16-fidelity-vs-pump", "epr-backprop", "channel-cancellation",
@@ -115,8 +115,17 @@ def test_oracle_grid_reduced_samples():
     result = run_preset("oracle-grid", overrides={"samples": "20000"})
     by_name = {check.name: check for check in result.checks}
     assert by_name["compared cells"].value == 118.0
-    assert by_name["cells within 3 standard errors (fraction)"].passed
+    assert by_name["cells within 3 standard errors (count)"].passed
     assert len(result.rows) == 118
+
+
+def test_within_3se_grades_the_count():
+    # exactly 95% passes, one cell fewer fails, and nothing compared fails
+    assert _within_3se("cells", 19, 20).passed
+    assert not _within_3se("cells", 18, 20).passed
+    assert _within_3se("cells", 113, 118).passed  # 0.95 * 118 = 112.1
+    assert not _within_3se("cells", 112, 118).passed
+    assert not _within_3se("cells", 0, 0).passed
 
 
 def test_preset_dataclasses_are_frozen():
