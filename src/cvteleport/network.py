@@ -14,6 +14,16 @@ feedforward, the receiver and the verifier. Every element is linear, so
   exact output covariance at fixed angles (the covariance-matrix picture of
   Weedbrook et al., Gaussian quantum information, RMP 84, 621 (2012)).
 
+The squeezers are the chain's first element and act on the four seed
+ports alone, each scaling its seed by one entry of seed_gains. So T
+factors at any lock angles, scalar or array:
+
+  T(sq, budget, gains, angles)
+      = T(vacuum, budget, gains, angles) . diag(*seed_gains(sq), 1, ..., 1),
+
+which lets the oracle push the network once per budget and gains and
+scale the four seed columns per squeezing.
+
 Parameters are read by attribute only (squeezing.r_minus, budget.xi1,
 gains.g_x, ...) and nothing here uses a closed-form variance, so the
 Monte Carlo stays an independent check of teleporter and jitter.
@@ -91,21 +101,29 @@ def feedforward_transmissions(budget) -> tuple[float, float]:
     return den_x, den_p
 
 
+def seed_gains(squeezing) -> tuple[float, float, float, float]:
+    """The squeezers' gains on the seeds (x1_0, p1_0, x2_0, p2_0):
+    (e^r+, e^-r-, e^-r-, e^r+). Beam 1's seed is anti-squeezed in x and
+    squeezed in p, beam 2's the reverse."""
+    e_minus = math.exp(-squeezing.r_minus)
+    e_plus = math.exp(squeezing.r_plus)
+    return e_plus, e_minus, e_minus, e_plus
+
+
 def epr_source(seeds, squeezing, theta_e=0.0):
     """EPR beams (x1, p1, x2, p2) from the four squeezer seed quadratures.
 
-    Beam 1's seed is anti-squeezed in x and squeezed in p, beam 2's the
-    reverse; beam 2 is rotated by theta_e, then the two interfere as
-    mode_1 = (b1 - b2)/sqrt(2), mode_2 = (b1 + b2)/sqrt(2).
+    The seeds are scaled by seed_gains; beam 2 is rotated by theta_e, then
+    the two interfere as mode_1 = (b1 - b2)/sqrt(2),
+    mode_2 = (b1 + b2)/sqrt(2).
     """
     x1_0, p1_0, x2_0, p2_0 = seeds
-    e_minus = math.exp(-squeezing.r_minus)
-    e_plus = math.exp(squeezing.r_plus)
+    g_x1, g_p1, g_x2, g_p2 = seed_gains(squeezing)
+    x1s = g_x1 * x1_0
+    p1s = g_p1 * p1_0
+    x2s = g_x2 * x2_0
+    p2s = g_p2 * p2_0
     ce, se = _cos_sin(theta_e)
-    x1s = e_plus * x1_0
-    p1s = e_minus * p1_0
-    x2s = e_minus * x2_0
-    p2s = e_plus * p2_0
     x2rot = ce * x2s + se * p2s
     p2rot = ce * p2s - se * x2s
     return ((x1s - x2rot) / SQRT2, (p1s - p2rot) / SQRT2,

@@ -12,7 +12,10 @@ their centred scatter, which for unit normals is Wishart(N-1, I). A chain
 without jitter therefore draws that scatter directly from its Bartlett
 factor (Bartlett 1933; Anderson, An Introduction to Multivariate
 Statistical Analysis, 7.2): 16 chi-square and at most 120 normal draws at
-any N, with the same law as the per-shot estimate. A chain with jitter
+any N, with the same law as the per-shot estimate. The squeezers only
+scale the four seed columns of T (network.seed_gains), so T is pushed
+once per (budget, gains) with vacuum seeds and each cell scales a copy
+of it by its own squeezing. A chain with jitter
 has a fresh rotation per shot and a non-Gaussian output, so it is sampled
 shot by shot, in chunks of _CHUNK shots:
 
@@ -44,7 +47,7 @@ import numpy as np
 
 from .epr import SqueezingParams
 from .jitter import PhaseJitter, victor_variance_jitter
-from .network import PORTS, live_ports, push, transfer_matrix
+from .network import PORTS, live_ports, push, seed_gains, transfer_matrix
 from .teleporter import (
     EfficiencyBudget,
     GainSettings,
@@ -66,6 +69,9 @@ _IN_FLIGHT = 1 << 17
 # 140,000 to 180,000 page faults per oracle-grid pass, the count and so the
 # pass time changing from one run to the next
 _BLOCK = 1 << 13
+# strictly-lower entries of a full-rank Bartlett factor, the only shape a
+# cell of 17 or more shots draws
+_FULL_RANK_BELOW = np.tril_indices(PORTS, -1, PORTS)
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,8 @@ def simulate_chain(config: ChainConfig) -> ChainEstimates:
     """Run the chain and estimate the variances at both stations."""
     n_tot = config.samples
     if config.jitter is None:
-        t = transfer_matrix(config.squeezing, config.budget, config.gains)
+        t = _unsqueezed_transfer(config.budget, config.gains).copy()
+        t[:, :4] *= seed_gains(config.squeezing)
         ta = t @ _wishart_factor(np.random.default_rng(config.seed), n_tot - 1)
         variances = (ta * ta).sum(axis=1) / (n_tot - 1)
     else:
@@ -126,6 +133,16 @@ def simulate_chain(config: ChainConfig) -> ChainEstimates:
     )
 
 
+# a preset holds a few dozen distinct (budget, gains) at most, so a small
+# bound keeps every one of them
+@functools.lru_cache(maxsize=32)
+def _unsqueezed_transfer(budget: EfficiencyBudget, gains: GainSettings) -> np.ndarray:
+    """The locked transfer matrix of the chain with vacuum seeds, read-only."""
+    t = transfer_matrix(SqueezingParams.vacuum(), budget, gains)
+    t.flags.writeable = False
+    return t
+
+
 def _wishart_factor(rng, dof: int) -> np.ndarray:
     """A (PORTS, min(PORTS, dof)) lower-trapezoidal A with A A^T ~
     Wishart(dof, I): chi-square diagonal of falling degrees of freedom,
@@ -134,7 +151,7 @@ def _wishart_factor(rng, dof: int) -> np.ndarray:
     m = min(PORTS, dof)
     a = np.zeros((PORTS, m))
     a[np.diag_indices(m)] = np.sqrt(rng.chisquare(dof - np.arange(m)))
-    below = np.tril_indices(PORTS, -1, m)
+    below = _FULL_RANK_BELOW if m == PORTS else np.tril_indices(PORTS, -1, m)
     a[below] = rng.standard_normal(below[0].size)
     return a
 

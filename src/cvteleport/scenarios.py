@@ -63,7 +63,15 @@ def pure_squeezing(degree_db: float) -> SqueezingParams:
 
 @dataclass(frozen=True)
 class RunOptions:
+    """Run-wide options. The seed feeds numpy's generators, which take only
+    non-negative integers, so it is checked here for every preset, sampled
+    or not."""
+
     seed: int = 12345
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

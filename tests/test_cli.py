@@ -227,6 +227,25 @@ def test_cli_flags_win_over_config(tmp_path, capsys):
     assert direct.read_bytes() == via_cfg.read_bytes()
 
 
+@pytest.mark.parametrize("args", [["fig2", "--oracle"]] + [[name] for name in PRESETS])
+def test_negative_seed_returns_two(args, capsys):
+    # numpy's generators take no negative seed; every preset refuses one
+    # alike, whether it samples or not
+    code, out, err = run_cli(["run"] + args + ["--seed", "-2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -2\n"
+
+
+def test_config_negative_seed_returns_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset=properties\nseed=-4\n")
+    code, out, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -4\n"
+
+
 def test_config_bad_boolean(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("preset=fig2\noracle=maybe\n")

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import cvteleport.network as network
 from cvteleport.epr import SqueezingParams
-from cvteleport.network import PORTS, live_ports, push, transfer_matrix
+from cvteleport.network import PORTS, live_ports, push, seed_gains, transfer_matrix
 from cvteleport.scenarios import OracleGridParams, grid_configs
 from cvteleport.teleporter import EfficiencyBudget, GainSettings, alice_variance, \
     victor_variance
@@ -99,6 +99,30 @@ def test_ports_outside_the_live_set_never_reach_an_output(budget, angles, g_x, g
     t = transfer_matrix(SqueezingParams.from_db(-3.0, 7.0), budget,
                         GainSettings(g_x, g_p), angles)
     assert np.all(t[:, dead] == 0.0)
+
+
+angle_arrays = st.lists(angle, min_size=3, max_size=3).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r_minus=st.floats(min_value=0.0, max_value=1.5),
+       excess=st.floats(min_value=0.0, max_value=1.0),
+       budget=budgets(),
+       g_x=st.floats(min_value=0.0, max_value=2.0),
+       g_p=st.floats(min_value=0.0, max_value=2.0),
+       angles=st.one_of(st.tuples(angle, angle, angle, angle),
+                        st.tuples(angle_arrays, angle, angle_arrays, angle_arrays)))
+def test_squeezing_scales_only_the_seed_columns(r_minus, excess, budget, g_x, g_p,
+                                                angles):
+    # the squeezers come first and touch only the seeds, so at any angles
+    # T(sq) = T(vacuum) diag(seed_gains(sq), 1, ..., 1): the identity the
+    # oracle's cached vacuum T rests on
+    squeezing = SqueezingParams(r_minus, r_minus + excess)
+    gains = GainSettings(g_x, g_p)
+    t = transfer_matrix(squeezing, budget, gains, angles)
+    vacuum = transfer_matrix(SqueezingParams.vacuum(), budget, gains, angles)
+    scale = np.array([*seed_gains(squeezing)] + [1.0] * (PORTS - 4))
+    assert np.all(np.abs(t - vacuum * scale) <= 1e-13 * np.abs(t).max())
 
 
 def test_live_ports_of_ideal_and_lossy_chains():

@@ -11,6 +11,7 @@ import pytest
 from cvteleport.epr import SqueezingParams
 from cvteleport.jitter import PhaseJitter, victor_variance_jitter
 from cvteleport import oracle
+from cvteleport.cli import main
 from cvteleport.network import PORTS, live_ports, push, transfer_matrix
 from cvteleport.oracle import _CHUNK, ChainConfig, _merge_moments, \
     _wishart_factor, closed_form_reference, simulate_chain
@@ -237,6 +238,63 @@ def test_gaussian_cells_are_calibrated():
     assert 0.95 <= math.sqrt(np.mean(z * z)) <= 1.05
     assert np.mean(np.abs(z) > 3.0) < 0.01
     assert abs(np.mean(z)) < 0.05
+
+
+LOSSY = EfficiencyBudget(xi1=0.8, xi4=0.9, alpha_ax=0.7, alpha_v=0.8, r_b=0.95)
+
+
+@pytest.mark.parametrize("samples", [2, 17, 100_000])
+def test_gaussian_estimates_replay_from_the_bartlett_factor(samples):
+    # default_rng(seed) draws the Bartlett factor A, and the estimate is
+    # diag(T A A^T T^T)/(N-1) with T pushed afresh at the cell's squeezing
+    config = ChainConfig(squeezing=SqueezingParams.from_db(-3.0, 7.0), budget=LOSSY,
+                         gains=GainSettings(1.1, 0.9), samples=samples, seed=41)
+    t = transfer_matrix(config.squeezing, config.budget, config.gains)
+    a = _wishart_factor(np.random.default_rng(config.seed), samples - 1)
+    expected = np.diag(t @ a @ a.T @ t.T) / (samples - 1)
+    est = simulate_chain(config)
+    for k, key in enumerate(("sigma_a_x", "sigma_a_p", "sigma_v_x", "sigma_v_p")):
+        assert getattr(est, key).value == pytest.approx(expected[k], rel=1e-12), key
+
+
+def test_fig2_oracle_pushes_the_network_once(monkeypatch, capsys):
+    calls = {"transfer_matrix": 0, "push": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    oracle._unsqueezed_transfer.cache_clear()
+    assert main(["run", "fig2", "--oracle", "--samples", "1000", "--seed", "3"]) == 0
+    capsys.readouterr()
+    # 41 cells on one budget and one set of gains
+    assert calls == {"transfer_matrix": 1, "push": 0}
+
+
+def test_cached_transfer_matrix_is_read_only():
+    t = oracle._unsqueezed_transfer(LOSSY, GainSettings(1.1, 0.9))
+    with pytest.raises(ValueError):
+        t[0, 0] = 1.0
+    assert oracle._unsqueezed_transfer.cache_info().maxsize is not None
+
+
+def test_cached_transfer_matrix_is_keyed_on_every_field():
+    gains = GainSettings(1.1, 0.9)
+    base = oracle._unsqueezed_transfer(LOSSY, gains)
+    assert oracle._unsqueezed_transfer(EfficiencyBudget(**vars(LOSSY)),
+                                       GainSettings(1.1, 0.9)) is base
+    assert not np.array_equal(oracle._unsqueezed_transfer(LOSSY, GainSettings(0.9, 1.1)),
+                              base)
+    for name, value in vars(LOSSY).items():
+        changed = EfficiencyBudget(**{**vars(LOSSY), name: 0.9 * value})
+        other = oracle._unsqueezed_transfer(changed, gains)
+        assert not np.array_equal(other, base), name
+        np.testing.assert_array_equal(
+            other, transfer_matrix(SqueezingParams.vacuum(), changed, gains))
 
 
 @pytest.mark.parametrize("samples", [5, 1000])
