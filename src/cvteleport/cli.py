@@ -26,21 +26,18 @@ import os
 import sys
 
 from .configfile import load_config
-from .scenarios import RunOptions, ScenarioResult, list_presets, run_preset
+from .scenarios import RunOptions, ScenarioResult, format_float, list_presets, \
+    run_preset
 
 DEFAULT_SEED = 12345
 
 
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, numbers.Integral):
         return str(int(value))
-    return format(float(value), ".10g")
+    return format_float(value)
 
 
 def _write_csv(result: ScenarioResult, stream) -> None:

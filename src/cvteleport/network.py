@@ -91,8 +91,9 @@ def feedforward_transmissions(budget) -> tuple[float, float]:
     """Amplitude transmissions from the sender's x and p detectors to the
     verifier: (xi2 xi5 eta_ax eta_v, xi3 xi5 eta_ap eta_v).
 
-    They set the raw gain that realizes a normalized gain; raises when
-    either is zero, since no finite gain then reaches the verifier.
+    push divides each normalized gain by its transmission to get the
+    receiver's displacement; raises when either is zero, since no finite
+    displacement then realizes the gain.
     """
     den_x = budget.xi2 * budget.xi5 * budget.eta_ax * budget.eta_v
     den_p = budget.xi3 * budget.xi5 * budget.eta_ap * budget.eta_v

@@ -170,8 +170,6 @@ def squeezing_vs_pump(opo: OpoParams, chain: DetectionChain,
     anti-squeezing diverges while the squeezing saturates.
     """
     p_t = threshold(opo, pump)
-    if pump < 0.0:
-        raise ValueError(f"pump must be >= 0, got {pump!r}")
     if pump >= p_t:
         raise ValueError(f"pump {pump!r} W at or above oscillation threshold {p_t:.4g} W")
     x = math.sqrt(pump / p_t)

@@ -31,9 +31,11 @@ shot by shot, in chunks of _CHUNK shots:
   1979), so the estimate depends on the seed and N alone, never on how
   many cores run the chunks;
 - the chunks run on a thread pool (numpy's draws and ufuncs release the
-  GIL) of one worker per usable CPU, capped so that at most _IN_FLIGHT
-  shots are drawn at once whatever the core count. Each worker draws into
-  and collects from buffers of its own, pushing _BLOCK shots at a time.
+  GIL) of W workers, one per usable CPU, capped so that at most _IN_FLIGHT
+  shots are drawn at once whatever the core count. Worker w allocates one
+  (draws, outputs) buffer pair and runs chunks w, w + W, w + 2W, ... in
+  it, pushing _BLOCK shots at a time; the caller puts the chunks' moments
+  back in chunk order before the merge.
 """
 
 from __future__ import annotations
@@ -190,45 +192,41 @@ def _jittered_variances(config: ChainConfig) -> np.ndarray:
     workers = min(_workers(), n_chunks)
     # imported here: concurrent.futures loads logging, which the package's
     # cold start does without
-    import queue
     from concurrent.futures import ThreadPoolExecutor
 
-    # one (draws, outputs) buffer pair per worker, lent to one chunk at a time
-    spare = queue.SimpleQueue()
-    for _ in range(workers):
-        spare.put((np.empty(rows * _CHUNK), np.empty(4 * _CHUNK)))
-
-    def chunk_moments(k):
+    def chunk_moments(k, draw_buffer, output_buffer):
         # moments of (i_x, i_p, x_v, p_v) over chunk k, drawn as the module
         # docstring lays out
         n = min(_CHUNK, config.samples - k * _CHUNK)
-        buffers = spare.get()
-        try:
-            draws = buffers[0][:rows * n].reshape(rows, n)
-            outputs = buffers[1][:4 * n].reshape(4, n)
-            np.random.default_rng(streams[k]).standard_normal(out=draws)
-            for start in range(0, n, _BLOCK):
-                block = draws[:, start:start + _BLOCK]
-                z = [0.0] * PORTS
-                for port, row in zip(live, block):
-                    z[port] = row
-                angles = [0.0] * 4
-                for a, row in zip(live_angles, block[len(live):]):
-                    angles[a] = rms[a] * row
-                series = push(z, config.squeezing, config.budget, config.gains, angles)
-                for out, values in zip(outputs[:, start:start + _BLOCK], series):
-                    out[...] = values
-            mean = outputs.mean(axis=1)
-            outputs -= mean[:, None]
-            np.multiply(outputs, outputs, out=outputs)
-            return n, mean, outputs.sum(axis=1)
-        finally:
-            # returned even by a failing chunk, or the chunks still queued
-            # would wait for it forever
-            spare.put(buffers)
+        draws = draw_buffer[:rows * n].reshape(rows, n)
+        outputs = output_buffer[:4 * n].reshape(4, n)
+        np.random.default_rng(streams[k]).standard_normal(out=draws)
+        for start in range(0, n, _BLOCK):
+            block = draws[:, start:start + _BLOCK]
+            z = [0.0] * PORTS
+            for port, row in zip(live, block):
+                z[port] = row
+            angles = [0.0] * 4
+            for a, row in zip(live_angles, block[len(live):]):
+                angles[a] = rms[a] * row
+            series = push(z, config.squeezing, config.budget, config.gains, angles)
+            for out, values in zip(outputs[:, start:start + _BLOCK], series):
+                out[...] = values
+        mean = outputs.mean(axis=1)
+        outputs -= mean[:, None]
+        np.multiply(outputs, outputs, out=outputs)
+        return n, mean, outputs.sum(axis=1)
+
+    def worker_moments(w):
+        # worker w runs chunks w, w + workers, ... in one (draws, outputs)
+        # buffer pair of its own
+        buffers = np.empty(rows * _CHUNK), np.empty(4 * _CHUNK)
+        return [chunk_moments(k, *buffers) for k in range(w, n_chunks, workers)]
 
     with ThreadPoolExecutor(workers) as pool:
-        moments = list(pool.map(chunk_moments, range(n_chunks)))
+        per_worker = list(pool.map(worker_moments, range(workers)))
+    # back in chunk order: chunk k is entry k // workers of worker k % workers
+    moments = [per_worker[k % workers][k // workers] for k in range(n_chunks)]
     n_tot, _, m2 = functools.reduce(_merge_moments, moments)
     return m2 / (n_tot - 1)
 

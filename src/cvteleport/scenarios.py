@@ -107,6 +107,15 @@ class Preset:
     runner: object
 
 
+def format_float(value) -> str:
+    """A float as the CSV writes it, at 10 significant digits."""
+    return format(float(value), ".10g")
+
+
+def _printed(value: float) -> float:
+    return float(format_float(value))
+
+
 def _status(*checks: Check) -> str:
     return "pass" if all(c.passed for c in checks) else "fail"
 
@@ -144,8 +153,6 @@ def _coerce(raw: str, current, key: str):
             if value < 1:
                 raise ValueError(f"expected a count of at least 1, got {value}")
             return value
-        if kind is str:
-            return raw
         if kind in (float, tuple):
             parts = raw.split(",") if kind is tuple else [raw]
             values = tuple(float(part) for part in parts if part.strip())
@@ -228,11 +235,6 @@ def _run_fig2(p: Fig2Params, opt: RunOptions) -> ScenarioResult:
         within = sum(abs(score) <= 3.0 for score in z)
         checks = (_within_3se("Monte Carlo cells", within, len(z)),)
     return ScenarioResult(tuple(columns), tuple(rows), checks)
-
-
-def _printed(value: float) -> float:
-    # a float as the CSV writes it, at 10 significant digits
-    return float(format(value, ".10g"))
 
 
 # --- fig3: fidelity vs squeezing ---
@@ -569,14 +571,18 @@ def _run_epr_backprop(p: EprBackpropParams, opt: RunOptions) -> ScenarioResult:
 
 # --- channel-cancellation: balanced classical channels vs offset ---
 
+# the measured residual at one offset off the fit points: the check's pass
+# rule, so no override may move it
+PROBE_OFFSET_HZ = 20e3
+PROBE_REF_DB = -9.0
+PROBE_TOL_DB = 1.0
+
+
 @dataclass(frozen=True)
 class ChannelCancellationParams:
     floor_db: float = -25.0
     ref_db: float = -20.0
     ref_offset_hz: float = 5e3
-    probe_offset_hz: float = 20e3
-    probe_ref_db: float = -9.0
-    probe_tol_db: float = 1.0
     max_offset_hz: float = 25e3
     points: int = 26
 
@@ -595,9 +601,9 @@ def _run_channel_cancellation(p: ChannelCancellationParams,
         Check("cancellation at the fit reference (dB)",
               channel_cancellation_db(epsilon, delay, p.ref_offset_hz),
               p.ref_db, 1e-9, "formula"),
-        Check(f"cancellation at {p.probe_offset_hz * 1e-3:g} kHz (dB)",
-              channel_cancellation_db(epsilon, delay, p.probe_offset_hz),
-              p.probe_ref_db, p.probe_tol_db, "experiment"),
+        Check(f"cancellation at {PROBE_OFFSET_HZ * 1e-3:g} kHz (dB)",
+              channel_cancellation_db(epsilon, delay, PROBE_OFFSET_HZ),
+              PROBE_REF_DB, PROBE_TOL_DB, "experiment"),
     ]
     notes = (f"fitted imbalance epsilon = {epsilon:.5f}, "
              f"differential delay = {delay * 1e6:.3f} us",)
@@ -824,8 +830,10 @@ def _run_properties(p: PropertiesParams, opt: RunOptions) -> ScenarioResult:
         checks.append(check)
         rows.append((result.name, result.cases, result.failures,
                      _status(check)))
+    notes = tuple(f"{result.name}: {result.note}" for result in results
+                  if not result.passed)
     return ScenarioResult(("property", "cases", "failures", "status"),
-                          tuple(rows), tuple(checks))
+                          tuple(rows), tuple(checks), notes)
 
 
 # --- registry ---

@@ -76,6 +76,15 @@ def test_check_failure_sets_exit_code(capsys):
     assert out.startswith("quantity,")  # table still emitted
 
 
+def test_probe_check_fails_off_its_reference(capsys):
+    # a fit reference 4 dB lower moves the 20 kHz residual out of its band
+    code, out, err = run_cli(["run", "channel-cancellation", "--set",
+                              "ref_db=-24"], capsys)
+    assert code == 1
+    assert "[FAIL] cancellation at 20 kHz (dB)" in err
+    assert out.startswith("offset_khz,")
+
+
 def test_single_sample_oracle_grid_fails(capsys):
     # a sample variance needs two shots, so one shot is bad input
     code, out, err = run_cli(["run", "oracle-grid", "--samples", "1"], capsys)
@@ -161,6 +170,8 @@ def test_epr_correlations_vacuum_check_off_zero_start(capsys):
     ["fig3", "--set", "start_db=nan"],
     ["fig7", "--set", "theta_e_deg=nan"],
     ["channel-cancellation", "--set", "max_offset_hz=inf"],
+    # the probe check's pass rule is not a parameter, so it cannot be widened
+    ["channel-cancellation", "--set", "ref_db=-24", "--set", "probe_tol_db=100"],
     ["fig7", "--set", "theta_e_deg=0,243"],  # beyond the quadratic jitter law
     ["fig3", "--set", "budget.xi_epr=0.5"],
     ["fig4", "--set", "t_b=0.1"],

@@ -3,8 +3,9 @@
 Whatever the value, the run must end in exit 0 (every check passed), 1 (a
 real check failed) or 2 (bad input), never in an exception, and a run that
 exits 0 must write only finite numbers. Retired keys, deleted because no
-computation read them, must exit 2 whatever the value, so an old config
-line fails loudly instead of being ignored.
+computation read them or because they set a check's pass rule, must exit 2
+whatever the value, so an old config line fails loudly instead of being
+ignored.
 """
 
 import contextlib
@@ -41,10 +42,13 @@ def _leaf_keys(params, prefix=""):
 
 CASES = [(preset.name, key) for preset in list_presets()
          for key in _leaf_keys(preset.params_type())]
-RETIRED = [(preset.name, f"{f.name}.{old}") for preset in list_presets()
-           for f in dataclasses.fields(preset.params_type)
-           if isinstance(f.default, EfficiencyBudget)
-           for old in ("t_b", "xi_epr")] + [("fig4", "t_b")]
+RETIRED = ([(preset.name, f"{f.name}.{old}") for preset in list_presets()
+            for f in dataclasses.fields(preset.params_type)
+            if isinstance(f.default, EfficiencyBudget)
+            for old in ("t_b", "xi_epr")]
+           + [("fig4", "t_b")]
+           + [("channel-cancellation", key)
+              for key in ("probe_offset_hz", "probe_ref_db", "probe_tol_db")])
 
 
 def _hostile_examples(test):

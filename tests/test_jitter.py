@@ -6,11 +6,27 @@ import numpy as np
 import pytest
 
 from cvteleport.epr import SqueezingParams
-from cvteleport.jitter import PhaseJitter, variance_at_angles, victor_lo_scan, \
-    victor_variance_jitter
+from cvteleport.jitter import PhaseJitter, victor_lo_scan, victor_variance_jitter
+from cvteleport.network import transfer_matrix
+from cvteleport.teleporter import EfficiencyBudget, GainSettings
 from cvteleport.units import to_db
 
 SQ = SqueezingParams.from_db(-3.0, 7.0)
+# angles per transfer_matrix call, which bounds its (block, 4, 16) stack
+ANGLE_BLOCK = 4096
+
+
+def exact_variances(theta_e, theta_ax, theta_ap, theta_b, quad):
+    """Output variance at each set of fixed lock angles, ideal chain at unit
+    gain: the squared norm of the x_out or p_out row of the transfer matrix."""
+    row = 2 if quad == "x" else 3
+    thetas = np.broadcast_arrays(theta_e, theta_ax, theta_ap, theta_b)
+    out = []
+    for start in range(0, thetas[0].size, ANGLE_BLOCK):
+        block = tuple(theta[start:start + ANGLE_BLOCK] for theta in thetas)
+        t = transfer_matrix(SQ, EfficiencyBudget.ideal(), GainSettings(), block)
+        out.append((t[:, row, :] * t[:, row, :]).sum(axis=-1))
+    return np.concatenate(out)
 
 
 def test_jitter_validation_and_degrees():
@@ -40,11 +56,6 @@ def test_jitter_weights_by_lock_point():
     d_ax = victor_variance_jitter(SQ, PhaseJitter(theta_ax_rms=h), "x") - base
     assert d_ax == pytest.approx(0.5 * h * h * spread, rel=1e-9)
 
-    # the EPR lock enters with exactly four times the receiver lock's weight
-    d_e = victor_variance_jitter(SQ, PhaseJitter(theta_e_rms=h), "x") - base
-    d_b = victor_variance_jitter(SQ, PhaseJitter(theta_b_rms=h), "x") - base
-    assert d_e / d_b == pytest.approx(4.0, abs=1e-9)
-
     # the EPR lock leaves the conjugate quadrature untouched
     base_p = victor_variance_jitter(SQ, PhaseJitter(), "p")
     assert victor_variance_jitter(SQ, PhaseJitter(theta_e_rms=h), "p") == \
@@ -53,6 +64,17 @@ def test_jitter_weights_by_lock_point():
     assert victor_variance_jitter(SQ, PhaseJitter(theta_ax_rms=h), "p") == \
         pytest.approx(base_p, rel=1e-14)
     assert victor_variance_jitter(SQ, PhaseJitter(theta_ap_rms=h), "p") > base_p
+
+
+def test_epr_lock_weighs_four_times_the_receiver_lock():
+    # the angles enter only through w (sigma_plus - sigma_minus) on top of
+    # the static chain, so at h = 1e-3 the ratio of the two small
+    # differences is 4 to their rounding
+    h = 1e-3
+    base = victor_variance_jitter(SQ, PhaseJitter(), "x")
+    d_e = victor_variance_jitter(SQ, PhaseJitter(theta_e_rms=h), "x") - base
+    d_b = victor_variance_jitter(SQ, PhaseJitter(theta_b_rms=h), "x") - base
+    assert d_e / d_b == pytest.approx(4.0, abs=3e-10)
 
 
 def test_lo_scan_endpoints_and_modulation():
@@ -75,11 +97,12 @@ def test_lo_scan_endpoints_and_modulation():
 
 
 def test_static_coefficients_match_chain():
-    assert variance_at_angles(SQ) == pytest.approx(1.0 + 2.0 * SQ.sigma_minus,
-                                                   rel=1e-12)
-    # broadcasting over an array of EPR-phase angles
+    locked = transfer_matrix(SQ, EfficiencyBudget.ideal(), GainSettings())
+    assert (locked[2] * locked[2]).sum() == pytest.approx(
+        1.0 + 2.0 * SQ.sigma_minus, rel=1e-12)
+    # the x variance grows with the EPR-phase angle
     thetas = np.array([0.0, 0.02, 0.05])
-    values = variance_at_angles(SQ, theta_e=thetas)
+    values = exact_variances(thetas, 0.0, 0.0, 0.0, "x")
     assert values.shape == thetas.shape
     assert np.all(np.diff(values) > 0.0)
 
@@ -94,8 +117,8 @@ def test_quadratic_law_matches_gaussian_angle_average():
     draws = {key: rng.normal(0.0, math.radians(val), size=n)
              for key, val in rms.items()}
     for quad in ("x", "p"):
-        sampled = float(np.mean(variance_at_angles(
-            SQ, draws["theta_e"], draws["theta_ax"], draws["theta_ap"],
-            draws["theta_b"], quad=quad)))
+        sampled = float(np.mean(exact_variances(
+            draws["theta_e"], draws["theta_ax"], draws["theta_ap"],
+            draws["theta_b"], quad)))
         predicted = victor_variance_jitter(SQ, jit, quad)
         assert sampled == pytest.approx(predicted, rel=5e-3)

@@ -111,6 +111,8 @@ def test_squeezing_vs_pump_reference_points():
     assert squeezing_vs_pump(opo, chain, 0.0) == SqueezingParams.vacuum()
     with pytest.raises(ValueError):
         squeezing_vs_pump(opo, chain, 0.2)  # past the high-pump threshold
+    with pytest.raises(ValueError, match="pump must be >= 0"):
+        squeezing_vs_pump(opo, chain, -0.01)  # refused by the loss lookup
 
     # the detected state stays physical across the band
     for pump in np.linspace(0.0, 0.135, 28):

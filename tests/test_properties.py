@@ -5,6 +5,7 @@ import types
 import pytest
 
 from cvteleport import epr, opo, properties, teleporter, units
+from cvteleport.cli import main
 from cvteleport.properties import ALL_CHECKS, PropertyResult, run_all
 
 EXPECTED_NAMES = {"db_roundtrip", "loss_composition", "epr_witness",
@@ -74,6 +75,19 @@ def test_each_property_catches_its_planted_fault(monkeypatch, target):
             assert result.note.startswith("first counterexample: ")
         else:
             assert result.failures == 0, f"{result.name}: {result.note}"
+
+
+@pytest.mark.parametrize("target", sorted(PLANTED_FAULTS))
+def test_cli_prints_the_counterexample_of_a_failing_property(monkeypatch, capsys,
+                                                             target):
+    name, fault = PLANTED_FAULTS[target]
+    monkeypatch.setattr(properties, name, fault)
+    assert main(["run", "properties"]) == 1
+    err = capsys.readouterr().err
+    assert f"[FAIL] {target} failures" in err
+    assert f"note: {target}: first counterexample: " in err
+    # only the failing property has a note
+    assert err.count("note: ") == 1
 
 
 # the scalar function each check calls and how often it calls it per case
