@@ -21,6 +21,7 @@ digits, fields are comma separated and rows end with a bare linefeed.
 from __future__ import annotations
 
 import argparse
+import functools
 import numbers
 import os
 import sys
@@ -33,6 +34,8 @@ DEFAULT_SEED = 12345
 
 
 def _format_cell(value) -> str:
+    if isinstance(value, float):  # nearly every cell; np.float64 included
+        return format_float(value)
     if isinstance(value, str):
         return value
     if isinstance(value, numbers.Integral):
@@ -60,6 +63,9 @@ def _report(result: ScenarioResult, stream) -> None:
     stream.write(f"{passed}/{len(result.checks)} checks passed\n")
 
 
+# built once per process: it is most of a closed-form call's time, and
+# parse_args never mutates it (append copies the --set default list)
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvteleport",

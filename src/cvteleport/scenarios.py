@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 
-import numpy as np
-
 from .epr import SqueezingParams, correlation_product, single_beam_variance, \
     sum_difference_variances
 from .jitter import PhaseJitter, victor_lo_scan, victor_variance_jitter
@@ -34,6 +32,9 @@ from .teleporter import CoherentAmplitude, EfficiencyBudget, GainSettings, \
 from .units import from_db, to_db
 
 LN10 = math.log(10.0)
+
+# the most points any sweep may take; a list this long is about 32 MB
+MAX_GRID_POINTS = 10**6
 
 # --- chain efficiency budgets used by the presets ---
 
@@ -114,6 +115,37 @@ def format_float(value) -> str:
 
 def _printed(value: float) -> float:
     return float(format_float(value))
+
+
+def _linspace(start: float, stop: float, points: int) -> list:
+    """numpy.linspace(start, stop, points) as a list of floats, bit for bit:
+    k*step + start, with the last point set to stop."""
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"points must be at most {MAX_GRID_POINTS}")
+    delta = stop - start
+    div = points - 1
+    step = delta / div if div > 0 else 0.0
+    if step == 0.0:  # numpy's branch for one point or an underflowing step
+        grid = [k / max(div, 1) * delta + start for k in range(points)]
+    else:
+        grid = [k * step + start for k in range(points)]
+    if points > 1:
+        grid[-1] = stop
+    return grid
+
+
+def _pump_grid_mw(pump_max_mw: float, step_mw: float) -> list:
+    """numpy.arange(0.0, pump_max_mw + 1e-9, step_mw) for step_mw > 0 as a
+    list of floats, bit for bit: ceil(stop/step) points k*step, or one when
+    that ratio underflows."""
+    stop = pump_max_mw + 1e-9
+    count = stop / step_mw
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"pump_max_mw / step_mw gives more than "
+                         f"{MAX_GRID_POINTS} pump points")
+    if count == 0.0 and stop > 0.0:
+        count = 1.0
+    return [k * step_mw for k in range(math.ceil(count))]
 
 
 def _status(*checks: Check) -> str:
@@ -207,9 +239,9 @@ def _run_fig2(p: Fig2Params, opt: RunOptions) -> ScenarioResult:
     ideal = EfficiencyBudget.ideal()
     gains = GainSettings()
     rows = []
-    for i, s_db in enumerate(np.linspace(p.start_db, p.stop_db, p.points)):
-        sq = pure_squeezing(float(s_db))
-        row = [float(s_db),
+    for i, s_db in enumerate(_linspace(p.start_db, p.stop_db, p.points)):
+        sq = pure_squeezing(s_db)
+        row = [s_db,
                to_db(victor_variance(sq, ideal, gains, "x")),
                to_db(alice_variance(sq, ideal, "x")),
                to_db(victor_variance(sq, p.budget, gains, "x")),
@@ -251,13 +283,13 @@ def _run_fig3(p: Fig3Params, opt: RunOptions) -> ScenarioResult:
     ideal = EfficiencyBudget.ideal()
     gains = GainSettings()
     rows = []
-    for s_db in np.linspace(p.start_db, p.stop_db, p.points):
-        sq = pure_squeezing(float(s_db))
+    for s_db in _linspace(p.start_db, p.stop_db, p.points):
+        sq = pure_squeezing(s_db)
         f_ideal = fidelity(victor_variance(sq, ideal, gains, "x"),
                            victor_variance(sq, ideal, gains, "p"))
         f_real = fidelity(victor_variance(sq, p.budget, gains, "x"),
                           victor_variance(sq, p.budget, gains, "p"))
-        rows.append((float(s_db), f_ideal, f_real))
+        rows.append((s_db, f_ideal, f_real))
     checks = []
     if p.start_db == 0.0:
         checks.append(Check("classical unit-gain fidelity", rows[0][1], 0.5,
@@ -285,8 +317,7 @@ def _run_fig4(p: Fig4Params, opt: RunOptions) -> ScenarioResult:
     columns = ("visibility",) + tuple(label(s) for s in p.squeezing_db)
     gains = GainSettings()
     rows = []
-    for vis in np.linspace(p.start, p.stop, p.points):
-        v = float(vis)
+    for v in _linspace(p.start, p.stop, p.points):
         budget = EfficiencyBudget(xi1=v, xi2=v, xi3=v, xi4=v, xi5=v,
                                   alpha_ax=p.alpha, alpha_ap=p.alpha,
                                   alpha_v=p.alpha, r_b=p.r_b)
@@ -311,7 +342,7 @@ class Fig7Params:
 
 def _run_fig7(p: Fig7Params, opt: RunOptions) -> ScenarioResult:
     sq = SqueezingParams.from_db(p.minus_db, p.plus_db)
-    theta_v = np.linspace(0.0, 2.0 * math.pi, p.points)
+    theta_v = _linspace(0.0, 2.0 * math.pi, p.points)
 
     def label(deg):
         return f"noise_db_theta_e_{format(deg, 'g').replace('.', 'p')}deg"
@@ -320,14 +351,14 @@ def _run_fig7(p: Fig7Params, opt: RunOptions) -> ScenarioResult:
     scans = {}
     for deg in p.theta_e_deg:
         jit = PhaseJitter.from_degrees(theta_e=deg)
-        scans[deg] = np.array([to_db(v) for v in victor_lo_scan(sq, jit, theta_v)])
+        scans[deg] = [to_db(v) for v in victor_lo_scan(sq, jit, theta_v)]
     rows = tuple(
-        (float(math.degrees(tv)),) + tuple(float(scans[d][i]) for d in p.theta_e_deg)
+        (math.degrees(tv),) + tuple(scans[d][i] for d in p.theta_e_deg)
         for i, tv in enumerate(theta_v)
     )
     checks = []
     for deg in p.theta_e_deg:
-        ptp = float(scans[deg].max() - scans[deg].min())
+        ptp = max(scans[deg]) - min(scans[deg])
         if deg == 0.0:
             checks.append(Check("scan flat at zero jitter (peak-to-peak dB)",
                                 ptp, 0.0, 1e-9, "formula"))
@@ -361,11 +392,10 @@ def _run_opo_gain(p: OpoGainParams, opt: RunOptions) -> ScenarioResult:
                     bliira=BliiraTable.flat(p.flat_extra_loss))
     if p.step_mw <= 0.0:
         raise ValueError(f"step_mw must be > 0, got {p.step_mw!r}")
-    pumps = np.arange(0.0, p.pump_max_mw + 1e-9, p.step_mw) * 1e-3
     rows = []
     gains = []
-    for pump in pumps:
-        pump = float(pump)
+    for pump_mw in _pump_grid_mw(p.pump_max_mw, p.step_mw):
+        pump = pump_mw * 1e-3
         g = parametric_gain(opo, pump)
         gains.append(g)
         rows.append((pump * 1e3, total_loss(opo, pump), threshold(opo, pump) * 1e3,
@@ -406,10 +436,9 @@ def _run_fig10(p: Fig10Params, opt: RunOptions) -> ScenarioResult:
     opo = OpoParams(t_coupler=p.t_coupler, e_nl=p.e_nl, l_passive=p.l_passive)
     chain = DetectionChain.from_intensity_loss(p.propagation_loss, p.visibility,
                                                p.quantum_efficiency)
-    pumps = np.linspace(p.pump_min_mw, p.pump_max_mw, p.points) * 1e-3
     rows = []
-    for pump in pumps:
-        pump = float(pump)
+    for pump_mw in _linspace(p.pump_min_mw, p.pump_max_mw, p.points):
+        pump = pump_mw * 1e-3
         sq = squeezing_vs_pump(opo, chain, pump)
         rows.append((pump * 1e3, sq.minus_db, sq.plus_db,
                      total_loss(opo, pump), escape_efficiency(opo, pump)))
@@ -447,11 +476,9 @@ def _run_fig12(p: Fig12Params, opt: RunOptions) -> ScenarioResult:
     sq = SqueezingParams.vacuum()
     inputs = [CoherentAmplitude.vacuum()] \
         + [CoherentAmplitude.from_total_db(level) for level in p.input_total_db]
-    gains_axis = np.linspace(p.gain_min, p.gain_max, p.points)
     rows = []
     linear = {k: [] for k in range(len(inputs))}
-    for g in gains_axis:
-        g = float(g)
+    for g in _linspace(p.gain_min, p.gain_max, p.points):
         settings = GainSettings(g_x=g, g_p=g)
         row = [g, 20.0 * math.log10(g)]
         for k, beta in enumerate(inputs):
@@ -591,8 +618,7 @@ def _run_channel_cancellation(p: ChannelCancellationParams,
                               opt: RunOptions) -> ScenarioResult:
     epsilon, delay = fit_channel_cancellation(p.floor_db, p.ref_db, p.ref_offset_hz)
     rows = []
-    for offset in np.linspace(0.0, p.max_offset_hz, p.points):
-        offset = float(offset)
+    for offset in _linspace(0.0, p.max_offset_hz, p.points):
         rows.append((offset * 1e-3, channel_cancellation_db(epsilon, delay, offset)))
     checks = [
         Check("cancellation at zero offset (dB)",
@@ -684,8 +710,7 @@ def _run_fig16(p: Fig16Params, opt: RunOptions) -> ScenarioResult:
     chain = DetectionChain.from_intensity_loss(p.propagation_loss, p.visibility,
                                                p.quantum_efficiency)
     rows = []
-    for pump in np.linspace(p.pump_min_mw, p.pump_max_mw, p.points):
-        pump = float(pump)
+    for pump in _linspace(p.pump_min_mw, p.pump_max_mw, p.points):
         detected = squeezing_vs_pump(opo, chain, pump * 1e-3)
         derated = double_pump_debit(detected, p.double_pump_debit_db)
         at_epr = back_propagate_to_epr(derated, chain, p.xi_epr)
@@ -717,10 +742,10 @@ class EprCorrelationsParams:
 
 def _run_epr_correlations(p: EprCorrelationsParams, opt: RunOptions) -> ScenarioResult:
     rows = []
-    for s_db in np.linspace(p.start_db, p.stop_db, p.points):
-        sq = pure_squeezing(float(s_db))
+    for s_db in _linspace(p.start_db, p.stop_db, p.points):
+        sq = pure_squeezing(s_db)
         v = sum_difference_variances(sq)
-        rows.append((float(s_db), v["x_minus"], v["x_plus"], v["p_plus"],
+        rows.append((s_db, v["x_minus"], v["x_plus"], v["p_plus"],
                      v["p_minus"], to_db(single_beam_variance(sq)),
                      correlation_product(sq)))
     witness = [r[6] for r in rows if r[0] > 0.0]

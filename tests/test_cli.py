@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cvteleport.cli import main
+from cvteleport.cli import build_parser, main
 from cvteleport.scenarios import PRESETS
 
 
@@ -176,6 +176,10 @@ def test_epr_correlations_vacuum_check_off_zero_start(capsys):
     ["fig3", "--set", "budget.xi_epr=0.5"],
     ["fig4", "--set", "t_b=0.1"],
     ["epr-correlations", "--set", "start_db=6000"],  # variances overflow
+    # sweeps are bounded before their grid is built
+    ["opo-gain", "--set", "pump_max_mw=1e12"],
+    ["opo-gain", "--set", "step_mw=1e-300"],
+    ["fig3", "--set", "points=100000000"],
 ])
 def test_bad_input_returns_two(args, capsys):
     code, out, err = run_cli(["run"] + args, capsys)
@@ -304,3 +308,28 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("squeezing_db,")
+
+
+SHARED_PARSER_CALLS = [
+    ["run", "fig3", "--set", "points=3", "--seed", "5"],
+    ["run", "fig3"],
+    ["run", "fig2", "--oracle", "--samples", "64"],
+    ["run", "fig2"],
+    ["run"],  # usage error: no scenario
+    ["run", "fig3"],
+]
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # one parser serves every call in a process, so no call may leave state
+    # behind that a later call sees: each matches a fresh process
+    assert build_parser() is build_parser()
+    for argv in SHARED_PARSER_CALLS:
+        code, out, err = run_cli(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "cvteleport"] + argv,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        if argv == ["run"]:
+            assert code == 2 and "usage:" in err
+        else:
+            assert err == fresh.stderr, argv

@@ -1,11 +1,16 @@
 """Preset catalog: registry, overrides and pinned checks."""
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from cvteleport.scenarios import Fig2Params, Fig3Params, Fig7Params, PRESETS, \
-    RunOptions, _within_3se, apply_overrides, get_preset, list_presets, run_preset
+from cvteleport.scenarios import MAX_GRID_POINTS, PRESETS, Fig2Params, \
+    Fig3Params, Fig7Params, RunOptions, _linspace, _pump_grid_mw, _within_3se, \
+    apply_overrides, get_preset, list_presets, run_preset
 
 REQUIRED = {"fig2", "fig3", "fig4", "fig7", "opo-gain", "fidelity-anchors",
             "fig16-fidelity-vs-pump", "epr-backprop", "channel-cancellation",
@@ -134,3 +139,46 @@ def test_preset_dataclasses_are_frozen():
         assert dataclasses.is_dataclass(params)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(params, dataclasses.fields(params)[0].name, 0)
+
+
+BOUNDED = st.floats(-1e3, 1e3)
+TINY = st.floats(-1e-320, 1e-320)  # spans whose step underflows to zero
+SPANS = st.tuples(BOUNDED, BOUNDED) | BOUNDED.map(lambda a: (a, a)) \
+    | st.tuples(TINY, TINY)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@given(span=SPANS, n=st.integers(1, 300))
+@example(span=(0.0, 10.0), n=41)
+@example(span=(-0.0, 1.0), n=1)
+@example(span=(2.0, 2.0), n=7)
+@example(span=(0.0, 5e-324), n=3)  # step == 0: numpy's k/div*delta branch
+def test_linspace_matches_numpy_bit_for_bit(span, n):
+    a, b = span
+    assert _hex(_linspace(a, b, n)) == _hex(np.linspace(a, b, n).tolist())
+
+
+@given(pump_max_mw=BOUNDED, step_mw=st.floats(0.5, 1e3))
+@example(pump_max_mw=165.0, step_mw=5.0)
+@example(pump_max_mw=0.0, step_mw=5.0)
+@example(pump_max_mw=-1.0, step_mw=5.0)  # empty range
+@example(pump_max_mw=165.0, step_mw=0.7)
+@example(pump_max_mw=math.nextafter(-1e-9, 0.0), step_mw=1e300)  # count underflows
+def test_opo_gain_grid_matches_numpy_arange(pump_max_mw, step_mw):
+    ours = [k * 1e-3 for k in _pump_grid_mw(pump_max_mw, step_mw)]
+    numpy_grid = np.arange(0.0, pump_max_mw + 1e-9, step_mw) * 1e-3
+    assert _hex(ours) == _hex(numpy_grid.tolist())
+
+
+@pytest.mark.parametrize("grid", [
+    lambda: _linspace(0.0, 1.0, MAX_GRID_POINTS + 1),
+    lambda: _pump_grid_mw(1e12, 5.0),
+    lambda: _pump_grid_mw(165.0, 1e-300),
+])
+def test_grids_refuse_more_than_the_bound(grid):
+    with pytest.raises(ValueError, match=f"{MAX_GRID_POINTS}") as info:
+        grid()
+    assert len(str(info.value)) < 80  # names the bound, not a 300-digit count
