@@ -38,6 +38,9 @@ class PhaseJitter:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            # NaN passes a sign test, and the oracle would then skip the lock
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
             if value < 0.0:
                 raise ValueError(f"{f.name} must be >= 0, got {value!r}")
 

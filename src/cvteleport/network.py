@@ -47,7 +47,13 @@ Conventions:
   and any extra receiver loss, which only ever enter together;
 - the lock angles (theta_e, theta_ax, theta_ap, theta_b) may be arrays;
   the Monte Carlo resamples them per shot (quasi-static servo
-  fluctuations).
+  fluctuations). An array angle's (cos, sin) comes from t = tan(theta/2)
+  as ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)), within 4.5e-16 of np.cos and
+  np.sin and exactly (1, 0) at theta = 0; a scalar angle uses math.cos
+  and math.sin;
+- every lossy element is t * signal + sqrt(1 - t^2) * port, and push
+  leaves out a unit t and a zero leak, both exact no-ops. On the ideal
+  chain that is a third of a shot's array arithmetic.
 """
 
 from __future__ import annotations
@@ -68,9 +74,9 @@ def _leak(t):
 
 def live_ports(budget) -> tuple[int, ...]:
     """Ports that can reach an output: the squeezer seeds, the input, and
-    each loss port whose element leaks. push weights the loss port of a
-    lossless element by exactly 0.0, so every other column of
-    transfer_matrix is exactly zero; the ideal chain has ports 0-5 only."""
+    each loss port whose element leaks. push leaves out the loss port of a
+    lossless element, so every other column of transfer_matrix is exactly
+    zero; the ideal chain has ports 0-5 only."""
     b = budget
     leaks = (_leak(b.xi1), _leak(b.xi1), _leak(b.xi2 * b.eta_ax),
              _leak(b.xi3 * b.eta_ap), _leak(b.xi4), _leak(b.xi4),
@@ -84,7 +90,22 @@ def _cos_sin(theta):
         # a scalar angle, such as the locked 0.0, keeps the arithmetic in
         # plain floats
         return math.cos(theta), math.sin(theta)
-    return np.cos(theta), np.sin(theta)
+    # one tan of the half angle costs about a third of a cos and a sin; at
+    # theta = 0 it gives exactly (1, 0)
+    t = np.tan(0.5 * theta)
+    t2 = t * t
+    d = 1.0 + t2
+    return (1.0 - t2) / d, (t + t) / d
+
+
+def _lossy(t, signal, port, feed=None):
+    """t signal (+ feed) + leak(t) port, summed left to right. A unit t
+    and a zero leak are left out: they are exact no-ops."""
+    out = signal if t == 1.0 else t * signal
+    if feed is not None:
+        out = out + feed
+    leak = _leak(t)
+    return out + leak * port if leak > 0.0 else out
 
 
 def feedforward_transmissions(budget) -> tuple[float, float]:
@@ -148,9 +169,8 @@ def push(z, squeezing, budget, gains, angles=LOCKED):
 
     # sender: EPR beam 1 overlap, balanced mixing with the input,
     # homodyne lock angles, arm efficiencies
-    leak1 = _leak(b.xi1)
-    x1l = b.xi1 * x1 + leak1 * w1x
-    p1l = b.xi1 * p1 + leak1 * w1p
+    x1l = _lossy(b.xi1, x1, w1x)
+    p1l = _lossy(b.xi1, p1, w1p)
     xu = (in_x - x1l) / SQRT2
     pu = (in_p - p1l) / SQRT2
     xv = (in_x + x1l) / SQRT2
@@ -159,29 +179,26 @@ def push(z, squeezing, budget, gains, angles=LOCKED):
     ap_t = b.xi3 * b.eta_ap
     cax, sax = _cos_sin(theta_ax)
     cap, sap = _cos_sin(theta_ap)
-    i_x = ax_t * (cax * xu + sax * pu) + _leak(ax_t) * n_ax
-    i_p = ap_t * (cap * pv - sap * xv) + _leak(ap_t) * n_ap
+    i_x = _lossy(ax_t, cax * xu + sax * pu, n_ax)
+    i_p = _lossy(ap_t, cap * pv - sap * xv, n_ap)
 
     # receiver: EPR beam 2 propagation, displacement phase, splitter; the
     # displacement is set by the normalized gain, so neither the raw gain
     # nor the splitter's transmission appears
-    leak4 = _leak(b.xi4)
-    x2l = b.xi4 * x2 + leak4 * w4x
-    p2l = b.xi4 * p2 + leak4 * w4p
+    x2l = _lossy(b.xi4, x2, w4x)
+    p2l = _lossy(b.xi4, p2, w4p)
     cb, sb = _cos_sin(theta_b)
     x2b = cb * x2l + sb * p2l
     p2b = cb * p2l - sb * x2l
     disp_x = SQRT2 * gains.g_x / den_x
     disp_p = SQRT2 * gains.g_p / den_p
-    leak_b = _leak(b.r_b)
-    x_bob = b.r_b * x2b + disp_x * i_x + leak_b * wbx
-    p_bob = b.r_b * p2b + disp_p * i_p + leak_b * wbp
+    x_bob = _lossy(b.r_b, x2b, wbx, disp_x * i_x)
+    p_bob = _lossy(b.r_b, p2b, wbp, disp_p * i_p)
 
     # verifier chain
     v_t = b.xi5 * b.eta_v
-    v_leak = _leak(v_t)
-    x_out = v_t * x_bob + v_leak * w5x
-    p_out = v_t * p_bob + v_leak * w5p
+    x_out = _lossy(v_t, x_bob, w5x)
+    p_out = _lossy(v_t, p_bob, w5p)
     return i_x, i_p, x_out, p_out
 
 

@@ -20,12 +20,15 @@ has a fresh rotation per shot and a non-Gaussian output, so it is sampled
 shot by shot, in chunks of _CHUNK shots:
 
 - stream layout: chunk k of ceil(N/_CHUNK) (the last one short) draws from
-  default_rng(SeedSequence(seed).spawn(ceil(N/_CHUNK))[k]) one
+  Generator(SFC64(SeedSequence(seed).spawn(ceil(N/_CHUNK))[k])) one
   standard-normal array of shape (len(live_ports) + live angles, n_k): the
   live ports (network.live_ports) in port order, then the rows of the lock
   angles whose rms is > 0, in the order (theta_e, theta_ax, theta_ap,
   theta_b), scaled by their rms. Dead ports and dead angles are the scalar
-  0.0;
+  0.0. SFC64 draws normals in about 0.86 of the time of default_rng's
+  PCG64, and the draws are most of a chunk's time. A Gaussian cell draws
+  at most 136 variates, where the generator's speed does not show, so it
+  keeps default_rng(seed) and with it the estimates of earlier versions;
 - each chunk returns its centred moments (n, mean, M2) of the four
   outputs, and the chunks merge in chunk order (Chan, Golub and LeVeque
   1979), so the estimate depends on the seed and N alone, never on how
@@ -200,7 +203,7 @@ def _jittered_variances(config: ChainConfig) -> np.ndarray:
         n = min(_CHUNK, config.samples - k * _CHUNK)
         draws = draw_buffer[:rows * n].reshape(rows, n)
         outputs = output_buffer[:4 * n].reshape(4, n)
-        np.random.default_rng(streams[k]).standard_normal(out=draws)
+        np.random.Generator(np.random.SFC64(streams[k])).standard_normal(out=draws)
         for start in range(0, n, _BLOCK):
             block = draws[:, start:start + _BLOCK]
             z = [0.0] * PORTS

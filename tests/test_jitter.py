@@ -32,6 +32,9 @@ def exact_variances(theta_e, theta_ax, theta_ap, theta_b, quad):
 def test_jitter_validation_and_degrees():
     with pytest.raises(ValueError):
         PhaseJitter(theta_e_rms=-0.1)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta_ap_rms must be finite"):
+            PhaseJitter(theta_ap_rms=value)
     jit = PhaseJitter.from_degrees(theta_e=6.0, theta_b=3.0)
     assert jit.theta_e_rms == pytest.approx(math.radians(6.0), rel=1e-14)
     assert jit.theta_b_rms == pytest.approx(math.radians(3.0), rel=1e-14)

@@ -164,6 +164,32 @@ def test_array_angles_broadcast():
     assert mixed.shape == (5, 4, PORTS)
 
 
+_EDGE_ANGLES = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles=st.lists(
+    st.one_of(st.sampled_from(_EDGE_ANGLES),
+              st.builds(lambda m, e: m * 10.0 ** e,
+                        st.floats(-1.0, 1.0), st.floats(-8.0, 200.0))),
+    min_size=1, max_size=40))
+def test_half_angle_rotation_matches_numpy(angles):
+    # array angles take (cos, sin) from the tangent of the half angle
+    theta = np.array(angles)
+    c, s = network._cos_sin(theta)
+    assert np.max(np.abs(c - np.cos(theta))) <= 4.5e-16
+    assert np.max(np.abs(s - np.sin(theta))) <= 4.5e-16
+
+
+def test_zero_angle_rotation_is_exact():
+    # the locked transfer matrix keeps its bits through the array branch
+    c, s = network._cos_sin(np.zeros(3))
+    assert np.all(c == 1.0) and np.all(s == 0.0)
+    c, s = network._cos_sin(0.3)
+    assert type(c) is float and type(s) is float
+    assert (c, s) == (math.cos(0.3), math.sin(0.3))
+
+
 def test_dead_feedforward_path_rejected():
     # a zero transmission from a sender detector to the verifier leaves the
     # displacement no finite gain

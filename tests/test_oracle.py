@@ -85,8 +85,9 @@ def test_jitter_chain_matches_quadratic_law():
 
 def _replayed_chunks(config):
     """Every chunk's (ports, angles) of a jittered run, rebuilt from the
-    documented streams: chunk k draws from child k of SeedSequence(seed),
-    the live ports first, then the rows of the angles with nonzero rms."""
+    documented streams: chunk k draws from an SFC64 generator seeded with
+    child k of SeedSequence(seed), the live ports first, then the rows of
+    the angles with nonzero rms."""
     jit = config.jitter
     rms = (jit.theta_e_rms, jit.theta_ax_rms, jit.theta_ap_rms, jit.theta_b_rms)
     live = live_ports(config.budget)
@@ -95,7 +96,7 @@ def _replayed_chunks(config):
     streams = np.random.SeedSequence(config.seed).spawn(n_chunks)
     for k, stream in enumerate(streams):
         n = min(_CHUNK, config.samples - k * _CHUNK)
-        draws = np.random.default_rng(stream).standard_normal(
+        draws = np.random.Generator(np.random.SFC64(stream)).standard_normal(
             (len(live) + len(live_angles), n))
         z = [0.0] * PORTS
         for port, row in zip(live, draws):
@@ -208,16 +209,18 @@ def test_merge_moments_matches_two_pass_variance():
 ])
 def test_lossy_jitter_chain_matches_its_drawn_angles(budget):
     # the grid's jitter cells all sit on the ideal chain; given its angles, a
-    # jittered run's variance estimate has mean diag(T T^T) averaged over them
-    config = ChainConfig(squeezing=SqueezingParams.from_db(-3.0, 7.0), budget=budget,
-                         gains=GainSettings(0.9, 1.1),
-                         jitter=PhaseJitter.from_degrees(theta_e=4.0),
-                         samples=20_000, seed=17)
-    est = simulate_chain(config)
-    expected = _drawn_angle_average(config)
-    for k, key in enumerate(("sigma_a_x", "sigma_a_p", "sigma_v_x", "sigma_v_p")):
-        estimate = getattr(est, key)
-        assert abs(estimate.value - expected[k]) < 4.0 * estimate.stderr, key
+    # jittered run's variance estimate has mean diag(T T^T) averaged over them.
+    # The second jitter turns all four rotations in the chunk path
+    for degrees in ((4.0, 0.0, 0.0, 0.0), (4.0, 2.0, 3.0, 5.0)):
+        config = ChainConfig(squeezing=SqueezingParams.from_db(-3.0, 7.0), budget=budget,
+                             gains=GainSettings(0.9, 1.1),
+                             jitter=PhaseJitter.from_degrees(*degrees),
+                             samples=20_000, seed=17)
+        est = simulate_chain(config)
+        expected = _drawn_angle_average(config)
+        for k, key in enumerate(("sigma_a_x", "sigma_a_p", "sigma_v_x", "sigma_v_p")):
+            estimate = getattr(est, key)
+            assert abs(estimate.value - expected[k]) < 4.0 * estimate.stderr, (degrees, key)
 
 
 def test_gaussian_cells_are_calibrated():
