@@ -19,33 +19,45 @@ of it by its own squeezing. A chain with jitter
 has a fresh rotation per shot and a non-Gaussian output, so it is sampled
 shot by shot, in chunks of _CHUNK shots:
 
-- stream layout: chunk k of ceil(N/_CHUNK) (the last one short) draws from
-  Generator(SFC64(SeedSequence(seed).spawn(ceil(N/_CHUNK))[k])) one
-  standard-normal array of shape (len(live_ports) + live angles, n_k): the
-  live ports (network.live_ports) in port order, then the rows of the lock
-  angles whose rms is > 0, in the order (theta_e, theta_ax, theta_ap,
-  theta_b), scaled by their rms. Dead ports and dead angles are the scalar
-  0.0. SFC64 draws normals in about 0.86 of the time of default_rng's
-  PCG64, and the draws are most of a chunk's time. A Gaussian cell draws
-  at most 136 variates, where the generator's speed does not show, so it
-  keeps default_rng(seed) and with it the estimates of earlier versions;
+- stream layout: chunk k of ceil(N/_CHUNK) (the last one short, n_k
+  shots) draws from Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))),
+  which is child k of SeedSequence(seed).spawn() built only when the chunk
+  runs, one uniform array u of shape (2, R, n_k) with R = ceil(rows / 2)
+  and rows = len(live_ports) + live angles. Box-Muller turns it in place
+  into the 2R rows r cos(2 pi u[1]) over r sin(2 pi u[1]), with
+  r = sqrt(-2 log(1 - u[0])) (_box_muller); the first rows of them are
+  the live ports (network.live_ports) in port order, then the lock angles
+  whose rms is > 0, in the order (theta_e, theta_ax, theta_ap, theta_b),
+  scaled by their rms, and when rows is odd the last row is dropped. Dead
+  ports and dead angles are the scalar 0.0. The draws are most of a
+  chunk's time: a uniform from SFC64 costs about a fifth of a ziggurat
+  normal (standard_normal), and the transform's whole-array log, tan and
+  arithmetic cost less than the difference. A Gaussian cell draws at most
+  136 variates, where the generator's speed does not show, so it keeps
+  default_rng(seed) and with it the estimates of earlier versions;
 - each chunk returns its centred moments (n, mean, M2) of the four
   outputs, and the chunks merge in chunk order (Chan, Golub and LeVeque
   1979), so the estimate depends on the seed and N alone, never on how
   many cores run the chunks;
 - the chunks run on a thread pool (numpy's draws and ufuncs release the
   GIL) of W workers, one per usable CPU, capped so that at most _IN_FLIGHT
-  shots are drawn at once whatever the core count. Worker w allocates one
-  (draws, outputs) buffer pair and runs chunks w, w + W, w + 2W, ... in
-  it, pushing _BLOCK shots at a time; the caller puts the chunks' moments
-  back in chunk order before the merge.
+  shots are drawn at once whatever the core count. Each worker allocates
+  one (uniforms, outputs) buffer pair and runs its chunks in it, pushing
+  _BLOCK shots at a time; the outputs are the transform's scratch until
+  the push writes them. Chunks are submitted in order at most 2W ahead of
+  the merge, so a run's memory does not grow with N. Ufunc work on
+  _BLOCK-sized arrays hands the GIL back and forth so often that two
+  threads run it no faster than one, so the transform runs over the whole
+  chunk in a few large calls instead.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,27 +195,67 @@ def _merge_moments(a, b):
             m2_a + m2_b + delta * delta * (n_a * n_b / n))
 
 
+def _box_muller(u, scratch):
+    """Turn the uniforms u, shape (2, R, n) on [0, 1), into 2R rows of
+    standard normals in place (Box and Muller 1958): u[0] becomes
+    r cos(phi) and u[1] r sin(phi), with r = sqrt(-2 log(1 - u[0])) and
+    phi = 2 pi u[1]. Generator.random draws multiples of 2**-53, so 1 - u[0]
+    is exact and r is at most sqrt(106 log 2). (cos phi, sin phi) come from
+    t = tan(phi / 2), as in network._cos_sin. scratch is a flat buffer of at
+    least R floats; u is transformed over column segments whose (R, width)
+    temporary fills it, each in one pass per ufunc."""
+    pairs, n = u.shape[1:]
+    width = scratch.size // pairs
+    for start in range(0, n, width):
+        u0, u1 = u[:, :, start:start + width]
+        d = scratch[:u0.size].reshape(u0.shape)
+        np.subtract(1.0, u0, out=u0)
+        np.log(u0, out=u0)
+        u0 *= -2.0
+        np.sqrt(u0, out=u0)             # r
+        u1 *= math.pi
+        np.tan(u1, out=u1)              # t
+        np.multiply(u1, u1, out=d)
+        d += 1.0                        # 1 + t^2
+        u0 /= d                         # r / (1 + t^2)
+        u1 += u1
+        u1 *= u0                        # r 2t / (1 + t^2) = r sin(phi)
+        np.subtract(2.0, d, out=d)      # 1 - t^2, to the rounding of 1 + t^2
+        u0 *= d                         # r cos(phi)
+
+
 def _jittered_variances(config: ChainConfig) -> np.ndarray:
     jit = config.jitter
     rms = (jit.theta_e_rms, jit.theta_ax_rms, jit.theta_ap_rms, jit.theta_b_rms)
     live = live_ports(config.budget)
     live_angles = [k for k, r in enumerate(rms) if r > 0.0]
     n_chunks = -(-config.samples // _CHUNK)
-    streams = np.random.SeedSequence(config.seed).spawn(n_chunks)
 
     rows = len(live) + len(live_angles)
+    pairs = -(-rows // 2)
     workers = min(_workers(), n_chunks)
     # imported here: concurrent.futures loads logging, which the package's
     # cold start does without
     from concurrent.futures import ThreadPoolExecutor
 
-    def chunk_moments(k, draw_buffer, output_buffer):
+    owned = threading.local()
+
+    def chunk_moments(k):
         # moments of (i_x, i_p, x_v, p_v) over chunk k, drawn as the module
-        # docstring lays out
+        # docstring lays out, in the one buffer pair of the pool thread
+        # that runs it
+        if not hasattr(owned, "buffers"):
+            owned.buffers = np.empty(2 * pairs * _CHUNK), np.empty(4 * _CHUNK)
+        uniform_buffer, output_buffer = owned.buffers
         n = min(_CHUNK, config.samples - k * _CHUNK)
-        draws = draw_buffer[:rows * n].reshape(rows, n)
+        uniforms = uniform_buffer[:2 * pairs * n].reshape(2, pairs, n)
         outputs = output_buffer[:4 * n].reshape(4, n)
-        np.random.Generator(np.random.SFC64(streams[k])).standard_normal(out=draws)
+        stream = np.random.SeedSequence(config.seed, spawn_key=(k,))
+        np.random.Generator(np.random.SFC64(stream)).random(out=uniforms)
+        # the outputs are not written before the push, so they are the
+        # transform's scratch
+        _box_muller(uniforms, output_buffer)
+        draws = uniforms.reshape(2 * pairs, n)[:rows]
         for start in range(0, n, _BLOCK):
             block = draws[:, start:start + _BLOCK]
             z = [0.0] * PORTS
@@ -220,17 +272,19 @@ def _jittered_variances(config: ChainConfig) -> np.ndarray:
         np.multiply(outputs, outputs, out=outputs)
         return n, mean, outputs.sum(axis=1)
 
-    def worker_moments(w):
-        # worker w runs chunks w, w + workers, ... in one (draws, outputs)
-        # buffer pair of its own
-        buffers = np.empty(rows * _CHUNK), np.empty(4 * _CHUNK)
-        return [chunk_moments(k, *buffers) for k in range(w, n_chunks, workers)]
+    def in_chunk_order(pool):
+        # chunks are submitted at most 2 * workers ahead of the merge, so a
+        # run holds the same few futures and moments whatever its N
+        ahead = collections.deque()
+        for k in range(n_chunks):
+            ahead.append(pool.submit(chunk_moments, k))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        for future in ahead:
+            yield future.result()
 
     with ThreadPoolExecutor(workers) as pool:
-        per_worker = list(pool.map(worker_moments, range(workers)))
-    # back in chunk order: chunk k is entry k // workers of worker k % workers
-    moments = [per_worker[k % workers][k // workers] for k in range(n_chunks)]
-    n_tot, _, m2 = functools.reduce(_merge_moments, moments)
+        n_tot, _, m2 = functools.reduce(_merge_moments, in_chunk_order(pool))
     return m2 / (n_tot - 1)
 
 

@@ -142,8 +142,18 @@ ALL_CHECKS = (
 )
 
 
+# most cases per check: at the bound a run takes about 35 s and peaks near
+# 0.55 GB (one check's block as Python floats), where an unbounded count
+# ends in a failed allocation
+MAX_CASES = 10**6
+
+
 def run_all(seed: int = 0, cases: int = 1000) -> list[PropertyResult]:
-    """Run every check with an independent generator derived from seed."""
+    """Run every check with an independent generator derived from seed.
+    Raises ValueError, before any draw, for more than MAX_CASES cases."""
+    if cases > MAX_CASES:
+        raise ValueError(f"samples (cases per property) must be at most "
+                         f"{MAX_CASES}, got {cases}")
     results = []
     for k, check in enumerate(ALL_CHECKS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))

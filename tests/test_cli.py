@@ -180,6 +180,9 @@ def test_epr_correlations_vacuum_check_off_zero_start(capsys):
     ["opo-gain", "--set", "pump_max_mw=1e12"],
     ["opo-gain", "--set", "step_mw=1e-300"],
     ["fig3", "--set", "points=100000000"],
+    # so is the properties case count, before its block is drawn
+    ["properties", "--samples", "1000000000000"],
+    ["properties", "--set", "samples=1000001"],
 ])
 def test_bad_input_returns_two(args, capsys):
     code, out, err = run_cli(["run"] + args, capsys)

@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvteleport.epr import SqueezingParams
 from cvteleport.jitter import PhaseJitter, victor_variance_jitter
@@ -85,19 +87,25 @@ def test_jitter_chain_matches_quadratic_law():
 
 def _replayed_chunks(config):
     """Every chunk's (ports, angles) of a jittered run, rebuilt from the
-    documented streams: chunk k draws from an SFC64 generator seeded with
-    child k of SeedSequence(seed), the live ports first, then the rows of
-    the angles with nonzero rms."""
+    documented streams: chunk k draws uniforms u of shape (2, R, n) from an
+    SFC64 generator seeded with child k of SeedSequence(seed), R = ceil(rows
+    / 2); the normals r cos(2 pi u[1]) over r sin(2 pi u[1]), with r =
+    sqrt(-2 log(1 - u[0])), give the live ports first, then the rows of the
+    angles with nonzero rms, and an odd last row is dropped."""
     jit = config.jitter
     rms = (jit.theta_e_rms, jit.theta_ax_rms, jit.theta_ap_rms, jit.theta_b_rms)
     live = live_ports(config.budget)
     live_angles = [k for k, r in enumerate(rms) if r > 0.0]
+    rows = len(live) + len(live_angles)
+    pairs = -(-rows // 2)
     n_chunks = -(-config.samples // _CHUNK)
     streams = np.random.SeedSequence(config.seed).spawn(n_chunks)
     for k, stream in enumerate(streams):
         n = min(_CHUNK, config.samples - k * _CHUNK)
-        draws = np.random.Generator(np.random.SFC64(stream)).standard_normal(
-            (len(live) + len(live_angles), n))
+        u = np.random.Generator(np.random.SFC64(stream)).random((2, pairs, n))
+        r = np.sqrt(-2.0 * np.log(1.0 - u[0]))
+        phi = 2.0 * np.pi * u[1]
+        draws = np.concatenate([r * np.cos(phi), r * np.sin(phi)])[:rows]
         z = [0.0] * PORTS
         for port, row in zip(live, draws):
             z[port] = row
@@ -132,6 +140,71 @@ def test_jitter_estimates_replay_from_the_chunk_streams():
     est = simulate_chain(config)
     for k, key in enumerate(("sigma_a_x", "sigma_a_p", "sigma_v_x", "sigma_v_p")):
         assert getattr(est, key).value == pytest.approx(expected[k], rel=1e-12), key
+
+
+@pytest.mark.parametrize("seed", [0, 29, 2**40 + 3])
+def test_chunk_streams_are_the_children_of_spawn(seed):
+    # chunk k seeds its generator with SeedSequence(seed, spawn_key=(k,)),
+    # built when the chunk runs; spawn() builds every child up front
+    children = np.random.SeedSequence(seed).spawn(1025)
+    for k in (0, 1, 2, 31, 1024):
+        own = np.random.SeedSequence(seed, spawn_key=(k,))
+        assert np.array_equal(own.generate_state(8), children[k].generate_state(8)), k
+
+
+# what Generator.random draws: the multiples of 2**-53 in [0, 1)
+LATTICE = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
+NODES = (0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53)
+NODE_PAIRS = [(u0, u1) for u0 in NODES for u1 in NODES]
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(LATTICE, LATTICE), min_size=1, max_size=60),
+       st.integers(1, 3), st.integers(1, 40))
+@example(NODE_PAIRS, 1, 25)
+@example(NODE_PAIRS, 5, 2)
+def test_box_muller_gives_the_radius_times_the_cos_and_sin(cases, pairs, width):
+    # the cases fill (2, pairs, n) cyclically, and a scratch of pairs * width
+    # floats splits the transform into segments of width columns. The
+    # tolerance is 1e-15 on the unit circle, so 1e-15 r on the normals: the
+    # largest r is 8.57, where one ulp is 1.8e-15
+    n = -(-len(cases) // pairs)
+    u = np.resize(np.array(cases), (pairs * n, 2)).T.reshape(2, pairs, n).copy()
+    r = np.sqrt(-2.0 * np.log(1.0 - u[0]))
+    expected = r * np.cos(2.0 * np.pi * u[1]), r * np.sin(2.0 * np.pi * u[1])
+    oracle._box_muller(u, np.empty(pairs * width))
+    tolerance = 1e-15 * np.maximum(r, 1.0)
+    for got, want in zip(u, expected):
+        assert np.all(np.abs(got - want) <= tolerance)
+
+
+def test_box_muller_largest_radius_is_finite():
+    # 1 - u is at least 2**-53, so r is at most sqrt(106 log 2) = 8.57
+    u = np.array([1.0 - 2.0**-53, 0.0]).reshape(2, 1, 1)
+    oracle._box_muller(u, np.empty(1))
+    assert u[0, 0, 0] == pytest.approx(math.sqrt(106.0 * math.log(2.0)), rel=1e-15)
+    assert u[1, 0, 0] == 0.0
+
+
+def test_box_muller_normals_are_standard():
+    # 2**20 normals from one chunk stream's generator: mean, variance and
+    # excess kurtosis within 4 standard errors, and the Kolmogorov-Smirnov
+    # distance below its 0.1% critical value sqrt(log(2 / 0.001) / 2) / sqrt(N)
+    u = np.random.Generator(np.random.SFC64(np.random.SeedSequence(7, spawn_key=(3,)))) \
+        .random((2, 4, 2**17))
+    oracle._box_muller(u, np.empty(4 * _CHUNK))
+    x = np.sort(u.ravel())
+    n = x.size
+    mean = x.mean()
+    var = x.var()
+    excess = ((x - mean) ** 4).mean() / var**2 - 3.0
+    assert abs(mean) < 4.0 / math.sqrt(n)
+    assert abs(var - 1.0) < 4.0 * math.sqrt(2.0 / n)
+    assert abs(excess) < 4.0 * math.sqrt(24.0 / n)
+    cdf = np.frompyfunc(math.erf, 1, 1)(x / math.sqrt(2.0)).astype(float) * 0.5 + 0.5
+    ranks = np.arange(1, n + 1) / n
+    distance = max((ranks - cdf).max(), (cdf - (ranks - 1.0 / n)).max())
+    assert distance < math.sqrt(math.log(2.0 / 0.001) / 2.0) / math.sqrt(n)
 
 
 @pytest.mark.parametrize("workers", [1, 4])

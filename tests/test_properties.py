@@ -26,6 +26,15 @@ def test_all_properties_hold():
         assert result.passed
 
 
+def test_case_count_is_bounded_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew cases beyond the bound")
+
+    monkeypatch.setattr(properties.np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="1000000"):
+        run_all(seed=0, cases=properties.MAX_CASES + 1)
+
+
 def test_run_all_deterministic():
     assert run_all(seed=4, cases=300) == run_all(seed=4, cases=300)
 
