@@ -5,16 +5,19 @@ squeezers act on orthogonal quadratures: beam 1's seed is anti-squeezed in x
 and squeezed in p, beam 2's seed squeezed in x and anti-squeezed in p, so
 the difference of the x quadratures and the sum of the p quadratures end up
 quiet. The identities here hold for the locked beamsplitter; a relative
-phase error rotates beam 2 first (network.epr_source, jitter).
+phase error rotates beam 2 first (network.epr_stage, jitter).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
-from .network import epr_source
+import numpy as np
+
+from .network import epr_stage, seed_gains
 from .units import from_db, to_db
 
 # largest r_plus whose anti-squeezed EPR variances (up to 2 sigma_plus)
@@ -87,16 +90,23 @@ class SqueezingParams:
         return cls.from_variances(from_db(minus_db), from_db(plus_db))
 
 
-# the unit vectors over the seeds (x1_0, p1_0, x2_0, p2_0)
-_UNIT_SEEDS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-               (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+@functools.cache
+def _vacuum_columns() -> tuple[tuple, ...]:
+    """Coefficients of the locked EPR beams (x_1, p_1, x_2, p_2) on each
+    unit vacuum seed (x1_0, p1_0, x2_0, p2_0), one tuple per seed: the
+    network's EPR stage pushed on the 4x4 identity, as plain floats."""
+    seeds = np.eye(4)
+    beam_1 = np.empty((2, 4))
+    epr_stage(seeds, 0.0, beam_1)
+    return tuple(zip(*beam_1.tolist(), *seeds[2:].tolist()))
 
 
 def _seed_columns(squeezing: SqueezingParams) -> list[tuple]:
     """Coefficients of the two EPR beams (x_1, p_1, x_2, p_2) on each unit
-    seed, one tuple per seed: the network's EPR stage, locked
-    (theta_e = 0), pushed one seed at a time with no arrays involved."""
-    return [epr_source(seed, squeezing) for seed in _UNIT_SEEDS]
+    seed, one tuple per seed: the squeezer's gain on the seed times its
+    vacuum column, since the squeezers act on the seeds alone."""
+    return [(gain * x1, gain * p1, gain * x2, gain * p2)
+            for gain, (x1, p1, x2, p2) in zip(seed_gains(squeezing), _vacuum_columns())]
 
 
 def sum_difference_variances(squeezing: SqueezingParams) -> dict:

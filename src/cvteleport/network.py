@@ -9,10 +9,27 @@ feedforward, the receiver and the verifier. Every element is linear, so
 - applied to per-shot unit-variance draws z of shape (16, n), with
   optional per-shot lock angles, it is the phase-space Monte Carlo of the
   oracle (Wigner sampling is exact for this Gaussian chain);
-- applied to np.eye(16) it gives the transfer matrix T, whose rows are
+- applied to the identity it gives the transfer matrix T, whose rows are
   (i_x, i_p, x_out, p_out) over the unit-variance ports, so T T^T is the
   exact output covariance at fixed angles (the covariance-matrix picture of
   Weedbrook et al., Gaussian quantum information, RMP 84, 621 (2012)).
+
+push runs in place. Each element is a linear map on one or two quadrature
+rows and overwrites them; a shot's arithmetic is the same whatever the
+number of shots, so a slice of the columns pushes to the same bits as the
+whole. push writes:
+
+- the live port rows of z and the array angles, which it overwrites (an
+  angle first with its sine), and nothing else of the caller's but out;
+- out, whose four rows carry EPR beam 1 and then the feedforward before
+  they hold (i_x, i_p, x_out, p_out);
+- as scratch, only rows freed along the chain: the seed rows of beam 1
+  once the EPR beamsplitter has read them, and the rows of out before
+  they are written.
+
+A dead port, one whose element is lossless, is never read, so the caller
+may pass it as 0.0; the scalar 0.0 angle is the identity rotation and
+costs nothing. push allocates no array the size of its rows.
 
 The squeezers are the chain's first element and act on the four seed
 ports alone, each scaling its seed by one entry of seed_gains. So T
@@ -49,8 +66,8 @@ Conventions:
   the Monte Carlo resamples them per shot (quasi-static servo
   fluctuations). An array angle's (cos, sin) comes from t = tan(theta/2)
   as ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)), within 4.5e-16 of np.cos and
-  np.sin and exactly (1, 0) at theta = 0; a scalar angle uses math.cos
-  and math.sin;
+  np.sin and exactly (1, 0) at theta = 0. push takes any other angle as
+  an array; transfer_matrix takes scalars and broadcasts them;
 - every lossy element is t * signal + sqrt(1 - t^2) * port, and push
   leaves out a unit t and a zero leak, both exact no-ops. On the ideal
   chain that is a third of a shot's array arithmetic.
@@ -85,27 +102,68 @@ def live_ports(budget) -> tuple[int, ...]:
     return tuple(range(6)) + tuple(6 + k for k, leak in enumerate(leaks) if leak > 0.0)
 
 
-def _cos_sin(theta):
-    if isinstance(theta, float):
-        # a scalar angle, such as the locked 0.0, keeps the arithmetic in
-        # plain floats
-        return math.cos(theta), math.sin(theta)
+def _live(theta) -> bool:
+    """Whether a lock angle of push rotates: an array angle does, and the
+    scalar 0.0 is the identity rotation, which push leaves out."""
+    if isinstance(theta, np.ndarray):
+        return True
+    if theta != 0.0:
+        raise ValueError(f"push takes a lock angle as an array or the scalar 0.0, "
+                         f"got {theta!r}; transfer_matrix takes any fixed angle")
+    return False
+
+
+def _cos_sin(theta, cos, scratch):
+    """Overwrite the array angle theta with its sine and write its cosine
+    into cos, from t = tan(theta / 2) as ((1 - t^2)/(1 + t^2),
+    2t/(1 + t^2)); scratch ends holding 1 + t^2."""
     # one tan of the half angle costs about a third of a cos and a sin; at
     # theta = 0 it gives exactly (1, 0)
-    t = np.tan(0.5 * theta)
-    t2 = t * t
-    d = 1.0 + t2
-    return (1.0 - t2) / d, (t + t) / d
+    theta *= 0.5
+    np.tan(theta, out=theta)
+    np.multiply(theta, theta, out=cos)
+    np.add(1.0, cos, out=scratch)
+    np.subtract(1.0, cos, out=cos)
+    cos /= scratch
+    theta += theta
+    theta /= scratch
+
+
+def _rotate(x, p, theta, cos, scratch):
+    """(x, p) <- (c x + s p, c p - s x) in place, at the array angle theta,
+    which ends holding s x. cos and scratch are scratch rows."""
+    _cos_sin(theta, cos, scratch)
+    np.multiply(theta, p, out=scratch)      # s p
+    p *= cos
+    theta *= x                              # s x
+    x *= cos
+    x += scratch
+    p -= theta
+
+
+def _mix(a, b, difference):
+    """The balanced beamsplitter: difference <- (a - b)/sqrt(2) and
+    b <- (a + b)/sqrt(2). a is read only."""
+    np.subtract(a, b, out=difference)
+    b += a
+    difference /= SQRT2
+    b /= SQRT2
 
 
 def _lossy(t, signal, port, feed=None):
-    """t signal (+ feed) + leak(t) port, summed left to right. A unit t
-    and a zero leak are left out: they are exact no-ops."""
-    out = signal if t == 1.0 else t * signal
+    """t signal (+ feed) + leak(t) port, summed left to right, in place over
+    feed when there is one and over signal otherwise. A unit t and a zero
+    leak are left out: they are exact no-ops, so the port of a lossless
+    element is never read."""
+    if t != 1.0:
+        signal *= t
     if feed is not None:
-        out = out + feed
+        feed += signal
+        signal = feed
     leak = _leak(t)
-    return out + leak * port if leak > 0.0 else out
+    if leak > 0.0:
+        port *= leak
+        signal += port
 
 
 def feedforward_transmissions(budget) -> tuple[float, float]:
@@ -132,74 +190,89 @@ def seed_gains(squeezing) -> tuple[float, float, float, float]:
     return e_plus, e_minus, e_minus, e_plus
 
 
-def epr_source(seeds, squeezing, theta_e=0.0):
-    """EPR beams (x1, p1, x2, p2) from the four squeezer seed quadratures.
-
-    The seeds are scaled by seed_gains; beam 2 is rotated by theta_e, then
-    the two interfere as mode_1 = (b1 - b2)/sqrt(2),
-    mode_2 = (b1 + b2)/sqrt(2).
+def epr_stage(seeds, theta_e, beam_1):
+    """The EPR beamsplitter, in place on the four squeezed seed rows
+    (x1, p1, x2, p2): beam 2 is rotated by theta_e, then the two interfere
+    as mode_1 = (b1 - b2)/sqrt(2), mode_2 = (b1 + b2)/sqrt(2). Mode 1 is
+    written into the two rows of beam_1, the rotation's scratch before
+    that; mode 2 overwrites beam 2's rows, and beam 1's rows are then free.
     """
-    x1_0, p1_0, x2_0, p2_0 = seeds
-    g_x1, g_p1, g_x2, g_p2 = seed_gains(squeezing)
-    x1s = g_x1 * x1_0
-    p1s = g_p1 * p1_0
-    x2s = g_x2 * x2_0
-    p2s = g_p2 * p2_0
-    ce, se = _cos_sin(theta_e)
-    x2rot = ce * x2s + se * p2s
-    p2rot = ce * p2s - se * x2s
-    return ((x1s - x2rot) / SQRT2, (p1s - p2rot) / SQRT2,
-            (x1s + x2rot) / SQRT2, (p1s + p2rot) / SQRT2)
+    x1, p1, x2, p2 = seeds
+    mode_x, mode_p = beam_1
+    if _live(theta_e):
+        _rotate(x2, p2, theta_e, mode_x, mode_p)
+    _mix(x1, x2, mode_x)
+    _mix(p1, p2, mode_p)
 
 
-def push(z, squeezing, budget, gains, angles=LOCKED):
-    """Push the 16 port quadratures z through the chain.
+def push(z, squeezing, budget, gains, angles, out):
+    """Push the 16 port quadratures z through the chain, in place.
 
-    angles is (theta_e, theta_ax, theta_ap, theta_b) in radians, scalars or
-    arrays broadcasting against the rows of z. Returns (i_x, i_p, x_out,
-    p_out): the sender's two photocurrents and the verifier's two
-    quadratures.
+    z holds one writable row per live port and anything, such as 0.0, for
+    the dead ones, which are never read. angles is (theta_e, theta_ax,
+    theta_ap, theta_b) in radians, each a writable row or the scalar 0.0.
+    All rows share one shape. The sender's two photocurrents and the
+    verifier's two quadratures (i_x, i_p, x_out, p_out) are written into
+    the four rows of out; the live rows of z and angles are overwritten.
     """
-    (x1_0, p1_0, x2_0, p2_0, in_x, in_p, w1x, w1p, n_ax, n_ap,
-     w4x, w4p, wbx, wbp, w5x, w5p) = z
-    theta_e, theta_ax, theta_ap, theta_b = angles
     b = budget
     den_x, den_p = feedforward_transmissions(b)
-    x1, p1, x2, p2 = epr_source((x1_0, p1_0, x2_0, p2_0), squeezing, theta_e)
+    theta_e, theta_ax, theta_ap, theta_b = angles
+    # a bad angle is refused before any row is written
+    _, live_ax, live_ap, live_b = map(_live, angles)
+    (x1_0, p1_0, x2, p2, in_x, in_p, w1x, w1p, n_ax, n_ap,
+     w4x, w4p, wbx, wbp, w5x, w5p) = z
+    i_x, i_p, x_out, p_out = out
+    for seed, gain in zip((x1_0, p1_0, x2, p2), seed_gains(squeezing)):
+        seed *= gain
+    # EPR beam 1 goes to the verifier's rows until the feedforward; the
+    # rows of its seeds are the scratch of the lock angles below
+    epr_stage((x1_0, p1_0, x2, p2), theta_e, (x_out, p_out))
+    x1, p1 = x_out, p_out
 
     # sender: EPR beam 1 overlap, balanced mixing with the input,
-    # homodyne lock angles, arm efficiencies
-    x1l = _lossy(b.xi1, x1, w1x)
-    p1l = _lossy(b.xi1, p1, w1p)
-    xu = (in_x - x1l) / SQRT2
-    pu = (in_p - p1l) / SQRT2
-    xv = (in_x + x1l) / SQRT2
-    pv = (in_p + p1l) / SQRT2
-    ax_t = b.xi2 * b.eta_ax
-    ap_t = b.xi3 * b.eta_ap
-    cax, sax = _cos_sin(theta_ax)
-    cap, sap = _cos_sin(theta_ap)
-    i_x = _lossy(ax_t, cax * xu + sax * pu, n_ax)
-    i_p = _lossy(ap_t, cap * pv - sap * xv, n_ap)
+    # homodyne lock angles, arm efficiencies. i_x reads the difference
+    # port (xu, pu) = (in - beam 1)/sqrt(2), i_p the sum port (xv, pv)
+    # = (in + beam 1)/sqrt(2), and pu and xv only through a live angle
+    _lossy(b.xi1, x1, w1x)
+    _lossy(b.xi1, p1, w1p)
+    np.subtract(in_x, x1, out=i_x)          # xu
+    i_x /= SQRT2
+    np.add(in_p, p1, out=i_p)               # pv
+    i_p /= SQRT2
+    if live_ax:
+        in_p -= p1                          # pu
+        in_p /= SQRT2
+        _cos_sin(theta_ax, x1_0, p1_0)
+        i_x *= x1_0
+        theta_ax *= in_p
+        i_x += theta_ax                     # c xu + s pu
+    if live_ap:
+        x1 += in_x                          # xv
+        x1 /= SQRT2
+        _cos_sin(theta_ap, x1_0, p1_0)
+        i_p *= x1_0
+        theta_ap *= x1
+        i_p -= theta_ap                     # c pv - s xv
+    _lossy(b.xi2 * b.eta_ax, i_x, n_ax)
+    _lossy(b.xi3 * b.eta_ap, i_p, n_ap)
 
     # receiver: EPR beam 2 propagation, displacement phase, splitter; the
     # displacement is set by the normalized gain, so neither the raw gain
     # nor the splitter's transmission appears
-    x2l = _lossy(b.xi4, x2, w4x)
-    p2l = _lossy(b.xi4, p2, w4p)
-    cb, sb = _cos_sin(theta_b)
-    x2b = cb * x2l + sb * p2l
-    p2b = cb * p2l - sb * x2l
-    disp_x = SQRT2 * gains.g_x / den_x
-    disp_p = SQRT2 * gains.g_p / den_p
-    x_bob = _lossy(b.r_b, x2b, wbx, disp_x * i_x)
-    p_bob = _lossy(b.r_b, p2b, wbp, disp_p * i_p)
+    _lossy(b.xi4, x2, w4x)
+    _lossy(b.xi4, p2, w4p)
+    if live_b:
+        _rotate(x2, p2, theta_b, x1_0, p1_0)
+    np.multiply(i_x, SQRT2 * gains.g_x / den_x, out=x_out)
+    np.multiply(i_p, SQRT2 * gains.g_p / den_p, out=p_out)
+    _lossy(b.r_b, x2, wbx, x_out)
+    _lossy(b.r_b, p2, wbp, p_out)
 
     # verifier chain
     v_t = b.xi5 * b.eta_v
-    x_out = _lossy(v_t, x_bob, w5x)
-    p_out = _lossy(v_t, p_bob, w5p)
-    return i_x, i_p, x_out, p_out
+    _lossy(v_t, x_out, w5x)
+    _lossy(v_t, p_out, w5p)
 
 
 def transfer_matrix(squeezing, budget, gains, angles=LOCKED) -> np.ndarray:
@@ -208,6 +281,15 @@ def transfer_matrix(squeezing, budget, gains, angles=LOCKED) -> np.ndarray:
     Shape (4, 16) for scalar angles; array angles of common shape S give
     shape S + (4, 16). The covariance of the four outputs is T T^T.
     """
-    angles = tuple(np.asarray(theta, dtype=float)[..., None] for theta in angles)
-    rows = push(np.eye(PORTS), squeezing, budget, gains, angles)
-    return np.stack(np.broadcast_arrays(*rows), axis=-2)
+    stack = np.broadcast(*angles).shape
+    shape = stack + (PORTS,)
+    # one identity row per port, and each angle copied out to the row
+    # shape, so that push may overwrite both
+    state = np.empty((PORTS,) + shape)
+    state[...] = np.eye(PORTS).reshape((PORTS,) + (1,) * len(stack) + (PORTS,))
+    rows = np.empty((len(angles),) + shape)
+    for row, theta in zip(rows, angles):
+        row[...] = np.asarray(theta)[..., None]
+    out = np.empty((4,) + shape)
+    push(state, squeezing, budget, gains, rows, out)
+    return np.moveaxis(out, 0, -2)

@@ -42,13 +42,11 @@ shot by shot, in chunks of _CHUNK shots:
 - the chunks run on a thread pool (numpy's draws and ufuncs release the
   GIL) of W workers, one per usable CPU, capped so that at most _IN_FLIGHT
   shots are drawn at once whatever the core count. Each worker allocates
-  one (uniforms, outputs) buffer pair and runs its chunks in it, pushing
-  _BLOCK shots at a time; the outputs are the transform's scratch until
-  the push writes them. Chunks are submitted in order at most 2W ahead of
-  the merge, so a run's memory does not grow with N. Ufunc work on
-  _BLOCK-sized arrays hands the GIL back and forth so often that two
-  threads run it no faster than one, so the transform runs over the whole
-  chunk in a few large calls instead.
+  one (uniforms, outputs) buffer pair and runs its chunks in it: the
+  outputs are the transform's scratch, and then network.push takes the
+  whole chunk in place from its normal rows into the outputs, with no
+  array of its own. Chunks are submitted in order at most 2W ahead of the
+  merge, so a run's memory does not grow with N.
 """
 
 from __future__ import annotations
@@ -79,13 +77,6 @@ from .teleporter import (
 # of a jittered run on any number of cores
 _CHUNK = 1 << 15
 _IN_FLIGHT = 1 << 17
-# shots per push within a chunk; no result depends on it. Push's
-# temporaries are then 64 KiB each and go back to the heap's free lists to
-# be reused. A whole-chunk push makes several MiB of 256 KiB temporaries,
-# which the allocator returns to the system and faults in afresh: some
-# 140,000 to 180,000 page faults per oracle-grid pass, the count and so the
-# pass time changing from one run to the next
-_BLOCK = 1 << 13
 # strictly-lower entries of a full-rank Bartlett factor, the only shape a
 # cell of 17 or more shots draws
 _FULL_RANK_BELOW = np.tril_indices(PORTS, -1, PORTS)
@@ -256,17 +247,14 @@ def _jittered_variances(config: ChainConfig) -> np.ndarray:
         # transform's scratch
         _box_muller(uniforms, output_buffer)
         draws = uniforms.reshape(2 * pairs, n)[:rows]
-        for start in range(0, n, _BLOCK):
-            block = draws[:, start:start + _BLOCK]
-            z = [0.0] * PORTS
-            for port, row in zip(live, block):
-                z[port] = row
-            angles = [0.0] * 4
-            for a, row in zip(live_angles, block[len(live):]):
-                angles[a] = rms[a] * row
-            series = push(z, config.squeezing, config.budget, config.gains, angles)
-            for out, values in zip(outputs[:, start:start + _BLOCK], series):
-                out[...] = values
+        z = [0.0] * PORTS
+        for port, row in zip(live, draws):
+            z[port] = row
+        angles = [0.0] * 4
+        for a, row in zip(live_angles, draws[len(live):]):
+            row *= rms[a]
+            angles[a] = row
+        push(z, config.squeezing, config.budget, config.gains, angles, outputs)
         mean = outputs.mean(axis=1)
         outputs -= mean[:, None]
         np.multiply(outputs, outputs, out=outputs)

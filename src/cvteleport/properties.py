@@ -4,13 +4,15 @@ Each check draws its cases from a seeded generator and reports a small
 result record, so the same suite runs under pytest and from the command
 line. Checks are deterministic per (seed, cases).
 
-Case layout: a check draws all its cases in one call, a (cases, k) block of
-uniforms with one column per random input and row i holding case i. The
-block becomes Python floats before the loop, and every case then calls the
-public scalar function under test once, as a caller would. The generator
-fills the block row by row, so the first m cases of a run at n >= m cases
-are exactly the run at m cases, with the same seed: a counterexample found
-at 1000 cases reproduces at any smaller count that still reaches it.
+Case layout: a check's cases form a (cases, k) block of uniforms with one
+column per random input and row i holding case i. The block is drawn and
+turned into Python floats in slices of _SLICE rows, so a check's memory
+does not grow with its case count, and every case then calls the public
+scalar function under test once, as a caller would. The generator fills
+the block row by row, so the slices hold the bits of the one-shot block,
+and the first m cases of a run at n >= m cases are exactly the run at m
+cases, with the same seed: a counterexample found at 1000 cases
+reproduces at any smaller count that still reaches it.
 """
 
 from __future__ import annotations
@@ -43,24 +45,38 @@ def _result(name, cases, bad_examples):
     return PropertyResult(name, cases, len(bad_examples), note)
 
 
-def _draw(rng, cases: int, ranges) -> list[list[float]]:
-    """One (cases, len(ranges)) block of uniform draws as Python floats.
+# rows of a check's case block drawn and turned into Python floats at once:
+# about 0.5 kB a case as floats, so some 30 MB at most
+_SLICE = 1 << 16
+
+
+def _slices(cases: int):
+    for start in range(0, cases, _SLICE):
+        yield min(_SLICE, cases - start)
+
+
+def _draw(rng, cases: int, ranges):
+    """The rows of one (cases, len(ranges)) block of uniform draws, as lists
+    of Python floats, drawn _SLICE rows at a time.
 
     Column j is uniform on ranges[j] = (low, high) and row i is case i. The
     generator fills the block in row-major order, so the first m rows of a
-    block of n >= m cases are the whole block of m cases.
+    block of n >= m cases are the whole block of m cases, and the slices
+    are the one-shot block.
     """
     low, high = zip(*ranges)
-    return rng.uniform(low, high, size=(cases, len(ranges))).tolist()
+    for rows in _slices(cases):
+        yield from rng.uniform(low, high, size=(rows, len(ranges))).tolist()
 
 
 def check_db_roundtrip(rng, cases: int) -> PropertyResult:
     """from_db(to_db(v)) returns v to 1e-12 relative over 12 decades."""
     bad = []
-    for v in (10.0 ** rng.uniform(-6.0, 6.0, size=cases)).tolist():
-        rt = from_db(to_db(v))
-        if abs(rt - v) > 1e-12 * v:
-            bad.append(f"v={v!r} roundtrip={rt!r}")
+    for rows in _slices(cases):
+        for v in (10.0 ** rng.uniform(-6.0, 6.0, size=rows)).tolist():
+            rt = from_db(to_db(v))
+            if abs(rt - v) > 1e-12 * v:
+                bad.append(f"v={v!r} roundtrip={rt!r}")
     return _result("db_roundtrip", cases, bad)
 
 
@@ -142,9 +158,8 @@ ALL_CHECKS = (
 )
 
 
-# most cases per check: at the bound a run takes about 35 s and peaks near
-# 0.55 GB (one check's block as Python floats), where an unbounded count
-# ends in a failed allocation
+# most cases per check: at the bound a run takes about 20 s, where an
+# unbounded count would run without end
 MAX_CASES = 10**6
 
 

@@ -341,6 +341,12 @@ class Fig7Params:
 
 
 def _run_fig7(p: Fig7Params, opt: RunOptions) -> ScenarioResult:
+    # LO phases 0, pi and 2 pi all sample one quadrature, so a scan of 3
+    # points or fewer would pass the zero-jitter flatness check vacuously;
+    # from 4 points on, a step below pi reaches a second quadrature
+    if p.points < 4:
+        raise ValueError(f"points must be at least 4 for an LO scan that "
+                         f"samples two quadratures, got {p.points}")
     sq = SqueezingParams.from_db(p.minus_db, p.plus_db)
     theta_v = _linspace(0.0, 2.0 * math.pi, p.points)
 

@@ -183,6 +183,10 @@ def test_epr_correlations_vacuum_check_off_zero_start(capsys):
     # so is the properties case count, before its block is drawn
     ["properties", "--samples", "1000000000000"],
     ["properties", "--set", "samples=1000001"],
+    # an LO scan of 3 points or fewer samples one quadrature only
+    ["fig7", "--set", "points=3", "--set", "theta_e_deg=0"],
+    ["fig7", "--set", "points=2"],
+    ["fig7", "--set", "points=1"],
 ])
 def test_bad_input_returns_two(args, capsys):
     code, out, err = run_cli(["run"] + args, capsys)

@@ -7,9 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cvteleport import epr
 from cvteleport.epr import SqueezingParams, correlation_product, \
     single_beam_variance, sum_difference_variances
-from cvteleport.network import epr_source
+from cvteleport.network import epr_stage, seed_gains
+
+
+def _epr_matrix(seeds):
+    # the network's EPR stage on the squeezed seed rows: rows (x1, p1, x2,
+    # p2) over the columns of seeds
+    seeds = np.array(seeds, dtype=float)
+    beam_1 = np.empty((2,) + seeds.shape[1:])
+    epr_stage(seeds, 0.0, beam_1)
+    return np.concatenate([beam_1, seeds[2:]])
 
 
 def test_squeezing_validation():
@@ -47,7 +57,7 @@ def test_from_db_rejects_wrong_signs():
 
 
 def test_vacuum_seeds_mix_orthogonally():
-    mat = np.array(epr_source(np.eye(4), SqueezingParams.vacuum()))
+    mat = _epr_matrix(np.eye(4))
     assert mat.shape == (4, 4)
     assert np.allclose(mat @ mat.T, np.eye(4), atol=1e-14)
 
@@ -69,9 +79,10 @@ def test_two_mode_variances_at_reference_squeezing():
 @given(st.floats(min_value=0.0, max_value=3.0),
        st.floats(min_value=0.0, max_value=2.0))
 def test_variances_equal_the_network_coefficient_sums(r, excess):
-    # the scalar sums reproduce the network's EPR stage on np.eye(4) exactly
+    # the scalar sums reproduce the network's EPR stage on np.eye(4), its
+    # columns scaled by the squeezers' gains, exactly
     sq = SqueezingParams(r_minus=r, r_plus=r + excess)
-    x1, p1, x2, p2 = np.array(epr_source(np.eye(4), sq))
+    x1, p1, x2, p2 = _epr_matrix(np.eye(4)) * seed_gains(sq)
     assert sum_difference_variances(sq) == {
         "x_minus": float(np.sum((x1 - x2) ** 2)),
         "x_plus": float(np.sum((x1 + x2) ** 2)),
@@ -79,6 +90,23 @@ def test_variances_equal_the_network_coefficient_sums(r, excess):
         "p_minus": float(np.sum((p1 - p2) ** 2)),
     }
     assert single_beam_variance(sq) == float(np.sum(x1 ** 2))
+
+
+@given(st.floats(min_value=0.0, max_value=3.0),
+       st.floats(min_value=0.0, max_value=2.0))
+def test_seed_columns_are_the_network_epr_stage(r, excess):
+    # one unit seed at a time, squeezed and pushed through the EPR stage;
+    # the columns scale the locked vacuum ones, so they differ from it by
+    # the rounding of that product
+    sq = SqueezingParams(r_minus=r, r_plus=r + excess)
+    columns = epr._seed_columns(sq)
+    assert len(columns) == 4
+    for k, column in enumerate(columns):
+        seed = np.zeros((4, 1))
+        seed[k] = seed_gains(sq)[k]
+        pushed = _epr_matrix(seed)[:, 0]
+        assert column == pytest.approx(pushed.tolist(), rel=5e-16, abs=0.0)
+        assert all(type(c) is float for c in column)
 
 
 def test_witness_at_vacuum_boundary():
@@ -102,7 +130,7 @@ def test_single_beam_never_sub_vacuum(r, excess):
 
 
 def test_epr_source_matches_sampled_statistics():
-    mat = np.array(epr_source(np.eye(4), SqueezingParams.from_db(-3.0, 7.0)))
+    mat = _epr_matrix(np.diag(seed_gains(SqueezingParams.from_db(-3.0, 7.0))))
     rng = np.random.default_rng(42)
     seeds = rng.standard_normal((4, 200_000))
     sample = np.var(mat @ seeds, axis=1, ddof=1)

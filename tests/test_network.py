@@ -11,6 +11,7 @@ import ast
 import dataclasses
 import importlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 import cvteleport.network as network
 from cvteleport.epr import SqueezingParams
-from cvteleport.network import PORTS, live_ports, push, seed_gains, transfer_matrix
+from cvteleport.network import LOCKED, PORTS, live_ports, push, seed_gains, \
+    transfer_matrix
 from cvteleport.scenarios import OracleGridParams, grid_configs
 from cvteleport.teleporter import EfficiencyBudget, GainSettings, alice_variance, \
     victor_variance
@@ -43,7 +45,8 @@ def _assert_covariance_matches(squeezing, budget, gains):
 def _assert_scatter_identity(squeezing, budget, gains):
     # on one shared draw the per-shot sum of y y^T is T (sum of z z^T) T^T
     z = np.random.default_rng(0).standard_normal((PORTS, 3000))
-    per_shot = np.array(push(z, squeezing, budget, gains))
+    per_shot = np.empty((4, z.shape[1]))
+    push(z.copy(), squeezing, budget, gains, LOCKED, per_shot)
     per_shot = per_shot @ per_shot.T
     t = transfer_matrix(squeezing, budget, gains)
     via_scatter = t @ (z @ z.T) @ t.T
@@ -176,18 +179,100 @@ _EDGE_ANGLES = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
 def test_half_angle_rotation_matches_numpy(angles):
     # array angles take (cos, sin) from the tangent of the half angle
     theta = np.array(angles)
-    c, s = network._cos_sin(theta)
+    s = theta.copy()
+    c = np.empty_like(theta)
+    network._cos_sin(s, c, np.empty_like(theta))
     assert np.max(np.abs(c - np.cos(theta))) <= 4.5e-16
     assert np.max(np.abs(s - np.sin(theta))) <= 4.5e-16
 
 
 def test_zero_angle_rotation_is_exact():
     # the locked transfer matrix keeps its bits through the array branch
-    c, s = network._cos_sin(np.zeros(3))
+    s = np.zeros(3)
+    c = np.empty(3)
+    network._cos_sin(s, c, np.empty(3))
     assert np.all(c == 1.0) and np.all(s == 0.0)
-    c, s = network._cos_sin(0.3)
-    assert type(c) is float and type(s) is float
-    assert (c, s) == (math.cos(0.3), math.sin(0.3))
+    # push takes the scalar 0.0 as the identity, and any other fixed angle
+    # only as an array
+    z = np.ones((PORTS, 3))
+    with pytest.raises(ValueError, match="array or the scalar 0.0"):
+        push(z, SqueezingParams.vacuum(), EfficiencyBudget(), GainSettings(),
+             (0.0, 0.3, 0.0, 0.0), np.empty((4, 3)))
+    assert np.all(z == 1.0)
+
+
+def _chunk(budget, rms, n, seed):
+    # one oracle chunk's rows: unit normals on the live ports, None on the
+    # dead ones so that a read of one fails, and rms-scaled live angles
+    rng = np.random.default_rng(seed)
+    z = [None] * PORTS
+    for port in live_ports(budget):
+        z[port] = rng.standard_normal(n)
+    angles = [r * rng.standard_normal(n) if r > 0.0 else 0.0 for r in rms]
+    return z, angles
+
+
+def _columns(rows, start, stop):
+    return [row[start:stop] if isinstance(row, np.ndarray) else row for row in rows]
+
+
+rms_angle = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(budget=budgets(st.one_of(st.just(1.0), efficiency)),
+       g_x=st.floats(min_value=0.0, max_value=2.0),
+       g_p=st.floats(min_value=0.0, max_value=2.0),
+       rms=st.tuples(rms_angle, rms_angle, rms_angle, rms_angle),
+       n=st.integers(1, 300), width=st.integers(1, 300), seed=st.integers(0, 2**32))
+def test_pushing_column_slices_gives_the_bits_of_the_whole_chunk(
+        budget, g_x, g_p, rms, n, width, seed):
+    # push is per shot, so how the oracle cuts a chunk into pushes cannot
+    # change an estimate; compared bit for bit, signed zeros included
+    sq = SqueezingParams.from_db(-3.0, 7.0)
+    gains = GainSettings(g_x, g_p)
+    z, angles = _chunk(budget, rms, n, seed)
+    whole = np.empty((4, n))
+    push(z, sq, budget, gains, angles, whole)
+    z, angles = _chunk(budget, rms, n, seed)
+    sliced = np.empty((4, n))
+    for start in range(0, n, width):
+        stop = start + width
+        push(_columns(z, start, stop), sq, budget, gains,
+             _columns(angles, start, stop), sliced[:, start:stop])
+    assert np.array_equal(whole.view(np.int64), sliced.view(np.int64))
+
+
+def test_push_allocates_no_row():
+    # every element runs in place over the caller's rows, so a 2**15-shot
+    # push with every port and all four angles live holds no row of its
+    # own: one row is 256 KiB
+    budget = EfficiencyBudget(xi1=0.9, xi4=0.95, xi5=0.9, alpha_ax=0.8,
+                              alpha_ap=0.85, alpha_v=0.9, r_b=0.9)
+    assert live_ports(budget) == tuple(range(PORTS))
+    z, angles = _chunk(budget, (0.07, 0.03, 0.05, 0.09), 1 << 15, seed=3)
+    out = np.empty((4, 1 << 15))
+    sq = SqueezingParams.from_db(-3.0, 7.0)
+    tracemalloc.start()
+    try:
+        push(z, sq, budget, GainSettings(0.9, 1.1), angles, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert np.all(np.isfinite(out))
+
+
+def test_transfer_matrix_leaves_the_angles_unchanged():
+    rng = np.random.default_rng(5)
+    angles = (0.1 * rng.standard_normal(7), 0.05, 0.1 * rng.standard_normal((2, 7)),
+              np.float64(0.02))
+    kept = [np.array(theta, copy=True) for theta in angles]
+    t = transfer_matrix(SqueezingParams.from_db(-3.0, 7.0),
+                        EfficiencyBudget(xi1=0.9, r_b=0.9), GainSettings(), angles)
+    assert t.shape == (2, 7, 4, PORTS)
+    for theta, before in zip(angles, kept):
+        assert np.array_equal(theta, before)
 
 
 def test_dead_feedforward_path_rejected():

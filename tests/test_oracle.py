@@ -132,10 +132,14 @@ def test_jitter_estimates_replay_from_the_chunk_streams():
                          gains=GainSettings(0.9, 1.1),
                          jitter=PhaseJitter.from_degrees(theta_e=4.0, theta_b=3.0),
                          samples=2 * _CHUNK + 7, seed=29)
-    outputs = np.concatenate(
-        [np.array(push(z, config.squeezing, config.budget, config.gains, angles))
-         for z, angles in _replayed_chunks(config)], axis=1)
-    assert outputs.shape == (4, config.samples)
+    outputs = np.empty((4, config.samples))
+    start = 0
+    for z, angles in _replayed_chunks(config):
+        stop = start + z[0].size
+        push(z, config.squeezing, config.budget, config.gains, angles,
+             outputs[:, start:stop])
+        start = stop
+    assert start == config.samples
     expected = outputs.var(axis=1, ddof=1)
     est = simulate_chain(config)
     for k, key in enumerate(("sigma_a_x", "sigma_a_p", "sigma_v_x", "sigma_v_p")):
@@ -222,16 +226,6 @@ def test_jitter_estimates_do_not_depend_on_the_worker_count(monkeypatch, workers
         assert simulate_chain(config) == default
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_jitter_estimates_do_not_depend_on_the_push_block(monkeypatch):
-    # a block that divides neither the chunk nor the short last chunk
-    config = ChainConfig(squeezing=SqueezingParams.from_db(-3.0, 7.0), budget=AS_BUILT,
-                         jitter=PhaseJitter.from_degrees(4.0, 0.0, 3.0, 5.0),
-                         samples=2 * _CHUNK + 1001, seed=37)
-    default = simulate_chain(config)
-    monkeypatch.setattr(oracle, "_BLOCK", 999)
-    assert simulate_chain(config) == default
 
 
 def test_a_failing_chunk_raises_instead_of_stalling_the_pool(monkeypatch):

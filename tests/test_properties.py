@@ -1,7 +1,10 @@
 """Randomized identity checks bundled with the package."""
 
+import collections
+import tracemalloc
 import types
 
+import numpy as np
 import pytest
 
 from cvteleport import epr, opo, properties, teleporter, units
@@ -130,3 +133,35 @@ def test_fewer_cases_are_a_prefix_of_more(monkeypatch):
         assert len(short[name]) >= prefix
         assert len(long[name]) >= 200 * per_case
         assert long[name][:prefix] == short[name][:prefix], name
+
+
+@pytest.mark.parametrize("cases", [properties._SLICE - 1, properties._SLICE,
+                                   properties._SLICE + 1])
+def test_sliced_draws_are_the_one_shot_block(cases):
+    ranges = ((-3.0, 3.0), (0.0, 1.0), (0.5, 1.0))
+    low, high = zip(*ranges)
+    block = np.random.default_rng(3).uniform(low, high, size=(cases, len(ranges)))
+    assert list(properties._draw(np.random.default_rng(3), cases, ranges)) == \
+        block.tolist()
+
+
+def test_every_check_reads_the_same_cases_in_small_slices(monkeypatch):
+    # 7-row slices split the 30 cases unevenly; each check must still see
+    # the one-shot block's cases, in order
+    whole = _recorded_arguments(monkeypatch, seed=2, cases=30)
+    monkeypatch.setattr(properties, "_SLICE", 7)
+    sliced = _recorded_arguments(monkeypatch, seed=2, cases=30)
+    assert sliced == whole
+
+
+def test_drawing_the_cases_holds_one_slice_at_a_time():
+    # 10**6 one-input cases as one block of Python floats take about
+    # 100 MB; a slice of them about 7 MB
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        collections.deque(properties._draw(rng, 10**6, ((0.0, 1.0),)), maxlen=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
