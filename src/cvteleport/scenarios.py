@@ -3,7 +3,9 @@
 Each preset maps a typed parameter bundle to a table plus optional
 pass/fail checks, so the command line, the test suite and interactive use
 share one code path. Parameter bundles are plain frozen dataclasses;
-overrides address fields with dotted keys (`budget.xi1=0.986`). Sample
+overrides address fields with dotted keys (`budget.xi1=0.986`). A preset
+that reads only some fields of its efficiency budget takes a narrowed
+group of just those fields, so every key it offers moves an output. Sample
 counts and the Monte Carlo switch are parameters like any other, so
 `apply_overrides` is the one place that turns text into a run input.
 
@@ -15,7 +17,8 @@ the reference measurements, "model" for values the noise budget predicts,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, make_dataclass, \
+    replace
 
 from .epr import SqueezingParams, correlation_product, single_beam_variance, \
     sum_difference_variances
@@ -50,6 +53,36 @@ BUDGET_PREDICTED = replace(BUDGET_TRACE, xi1=0.985)
 # budget of the gain-sweep characterization
 BUDGET_GAIN_SWEEP = replace(BUDGET_BEST, xi1=0.985, xi2=0.994, xi3=0.994,
                             xi4=0.985, xi5=0.985)
+
+
+def _budget_group(base: EfficiencyBudget, *names: str) -> type:
+    """A frozen parameter group of the budget fields `names`, defaulting to
+    base's values, for a preset that reads no other field: it offers no key
+    that moves nothing. Its widen() fills in the other fields from base, and
+    EfficiencyBudget checks every value when a group is built."""
+    def widen(group) -> EfficiencyBudget:
+        return replace(base, **{name: getattr(group, name) for name in names})
+
+    return make_dataclass(
+        "BudgetGroup", [(name, float, field(default=getattr(base, name)))
+                        for name in names],
+        frozen=True, namespace={"widen": widen, "__post_init__": widen,
+                                "__doc__": f"Budget fields {', '.join(names)}."})
+
+
+# at vacuum squeezing the x output variance is 1 + 2 g^2 / (xi2^2 alpha_ax),
+# so a vacuum-input preset that prints x reads the sender's x arm alone
+VacuumXBudget = _budget_group(BUDGET_BEST, "xi2", "alpha_ax")
+GainSweepBudget = _budget_group(BUDGET_GAIN_SWEEP, "xi2", "alpha_ax")
+# the same at both quadratures
+VacuumBudget = _budget_group(BUDGET_BEST, "xi2", "xi3", "alpha_ax", "alpha_ap")
+# the x quadrature at any squeezing: the p arm (xi3, alpha_ap) is never read
+XBudget = _budget_group(BUDGET_BEST, "xi1", "xi2", "xi4", "xi5", "alpha_ax",
+                        "alpha_v", "r_b")
+# the field leaving the receiver: bob_field_variance strips the verifier
+# (xi5, alpha_v)
+ReceiverBudget = _budget_group(BUDGET_PREDICTED, "xi1", "xi2", "xi3", "xi4",
+                               "alpha_ax", "alpha_ap", "r_b")
 
 
 def pure_squeezing(degree_db: float) -> SqueezingParams:
@@ -157,6 +190,13 @@ def _holds_everywhere(name: str, holds: list, source: str) -> Check:
     return Check(name, 1.0 if holds and all(holds) else 0.0, 1.0, 0.0, source)
 
 
+def _matches(value: float, exact: float) -> bool:
+    """value equals an exact closed form up to rounding, 1e-12 relative:
+    10**(s/10) and exp(s ln10/10) differ by up to 2e-13 near the float
+    range."""
+    return math.isclose(value, exact, rel_tol=1e-12)
+
+
 def _within_3se(name: str, within: int, compared: int) -> Check:
     """At least 95% of the compared Monte Carlo cells lie within 3 standard
     errors. Graded on the count, so exactly 95% passes: compared // 20 cells
@@ -226,7 +266,7 @@ class Fig2Params:
     start_db: float = 0.0
     stop_db: float = 10.0
     points: int = 41
-    budget: EfficiencyBudget = BUDGET_BEST
+    budget: XBudget = XBudget()
     oracle: bool = False  # add Monte Carlo columns
     samples: int = 100_000
 
@@ -237,17 +277,23 @@ def _run_fig2(p: Fig2Params, opt: RunOptions) -> ScenarioResult:
     if p.oracle:
         columns += ["victor_mc_db", "victor_mc_se", "alice_mc_db", "alice_mc_se"]
     ideal = EfficiencyBudget.ideal()
+    budget = p.budget.widen()
     gains = GainSettings()
     rows = []
+    victor_ideal = []
+    alice_ideal = []
     for i, s_db in enumerate(_linspace(p.start_db, p.stop_db, p.points)):
         sq = pure_squeezing(s_db)
-        row = [s_db,
-               to_db(victor_variance(sq, ideal, gains, "x")),
-               to_db(alice_variance(sq, ideal, "x")),
-               to_db(victor_variance(sq, p.budget, gains, "x")),
-               to_db(alice_variance(sq, p.budget, "x"))]
+        sigma_minus, sigma_plus = from_db(-s_db), from_db(s_db)
+        v_ideal = victor_variance(sq, ideal, gains, "x")
+        a_ideal = alice_variance(sq, ideal, "x")
+        victor_ideal.append(_matches(v_ideal, 1.0 + 2.0 * sigma_minus))
+        alice_ideal.append(_matches(a_ideal, 1.0 + (sigma_minus + sigma_plus - 2.0) / 4.0))
+        row = [s_db, to_db(v_ideal), to_db(a_ideal),
+               to_db(victor_variance(sq, budget, gains, "x")),
+               to_db(alice_variance(sq, budget, "x"))]
         if p.oracle:
-            est = simulate_chain(ChainConfig(squeezing=sq, budget=p.budget,
+            est = simulate_chain(ChainConfig(squeezing=sq, budget=budget,
                                              gains=gains, samples=p.samples,
                                              seed=opt.seed + i))
             # stderr is linear; delta method keeps the se columns in dB
@@ -256,7 +302,12 @@ def _run_fig2(p: Fig2Params, opt: RunOptions) -> ScenarioResult:
                     to_db(est.sigma_a_x.value),
                     10.0 / LN10 * est.sigma_a_x.stderr / est.sigma_a_x.value]
         rows.append(tuple(row))
-    checks = ()
+    checks = [
+        _holds_everywhere("ideal unit-gain verifier variance 1 + 2 sigma_minus",
+                          victor_ideal, "formula"),
+        _holds_everywhere("ideal sender variance 1 + (sigma_minus + sigma_plus - 2)/4",
+                          alice_ideal, "formula"),
+    ]
     if p.oracle:
         # the grid's rule, on the dB values as the CSV prints them, so a
         # reader grading the CSV gets the same z-scores
@@ -265,8 +316,8 @@ def _run_fig2(p: Fig2Params, opt: RunOptions) -> ScenarioResult:
              / _printed(row[col(f"{station}_mc_se")])
              for row in rows for station in ("victor", "alice")]
         within = sum(abs(score) <= 3.0 for score in z)
-        checks = (_within_3se("Monte Carlo cells", within, len(z)),)
-    return ScenarioResult(tuple(columns), tuple(rows), checks)
+        checks.append(_within_3se("Monte Carlo cells", within, len(z)))
+    return ScenarioResult(tuple(columns), tuple(rows), tuple(checks))
 
 
 # --- fig3: fidelity vs squeezing ---
@@ -290,12 +341,13 @@ def _run_fig3(p: Fig3Params, opt: RunOptions) -> ScenarioResult:
         f_real = fidelity(victor_variance(sq, p.budget, gains, "x"),
                           victor_variance(sq, p.budget, gains, "p"))
         rows.append((s_db, f_ideal, f_real))
-    checks = []
-    if p.start_db == 0.0:
-        checks.append(Check("classical unit-gain fidelity", rows[0][1], 0.5,
-                            1e-12, "formula"))
+    # both ideal outputs are 1 + 2 sigma_minus; 1/2 at 0 dB, the classical bound
+    checks = (_holds_everywhere(
+        "ideal unit-gain fidelity 1/(1 + sigma_minus)",
+        [_matches(f, 1.0 / (1.0 + from_db(-s_db))) for s_db, f, _ in rows],
+        "formula"),)
     return ScenarioResult(("squeezing_db", "fidelity_ideal", "fidelity"),
-                          tuple(rows), tuple(checks))
+                          tuple(rows), checks)
 
 
 # --- fig4: fidelity vs visibility ---
@@ -327,7 +379,17 @@ def _run_fig4(p: Fig4Params, opt: RunOptions) -> ScenarioResult:
             row.append(fidelity(victor_variance(sq, budget, gains, "x"),
                                 victor_variance(sq, budget, gains, "p")))
         rows.append(tuple(row))
-    return ScenarioResult(columns, tuple(rows))
+    checks = [_holds_everywhere("fidelity bounded by 1",
+                                [f <= 1.0 for row in rows for f in row[1:]],
+                                "formula")]
+    if 0.0 in p.squeezing_db:
+        # without squeezing each unit-gain output is 1 + 2/(xi_a^2 alpha_a) >= 3,
+        # which rounds to 1/2 + 1e-16 at unit visibility and efficiency
+        k = 1 + p.squeezing_db.index(0.0)
+        checks.append(_holds_everywhere(
+            "fidelity at most 1/2 without squeezing",
+            [row[k] <= 0.5 or _matches(row[k], 0.5) for row in rows], "formula"))
+    return ScenarioResult(columns, tuple(rows), tuple(checks))
 
 
 # --- fig7: verifier LO scan under EPR-phase jitter ---
@@ -470,7 +532,7 @@ class Fig12Params:
     gain_max: float = 2.0
     points: int = 39
     input_total_db: tuple = (7.0, 14.8, 24.8)
-    budget: EfficiencyBudget = BUDGET_GAIN_SWEEP
+    budget: GainSweepBudget = GainSweepBudget()
 
 
 def _run_fig12(p: Fig12Params, opt: RunOptions) -> ScenarioResult:
@@ -482,13 +544,14 @@ def _run_fig12(p: Fig12Params, opt: RunOptions) -> ScenarioResult:
     sq = SqueezingParams.vacuum()
     inputs = [CoherentAmplitude.vacuum()] \
         + [CoherentAmplitude.from_total_db(level) for level in p.input_total_db]
+    budget = p.budget.widen()
     rows = []
     linear = {k: [] for k in range(len(inputs))}
     for g in _linspace(p.gain_min, p.gain_max, p.points):
         settings = GainSettings(g_x=g, g_p=g)
         row = [g, 20.0 * math.log10(g)]
         for k, beta in enumerate(inputs):
-            dens = spectral_densities(beta, sq, p.budget, settings)
+            dens = spectral_densities(beta, sq, budget, settings)
             linear[k].append(dens.victor_x)
             row.append(to_db(dens.victor_x))
         rows.append(tuple(row))
@@ -506,9 +569,9 @@ def _run_fig12(p: Fig12Params, opt: RunOptions) -> ScenarioResult:
 
 @dataclass(frozen=True)
 class FidelityAnchorsParams:
-    as_built: EfficiencyBudget = BUDGET_BEST
+    as_built: VacuumBudget = VacuumBudget()
     trace: EfficiencyBudget = BUDGET_TRACE
-    predicted: EfficiencyBudget = BUDGET_PREDICTED
+    predicted: ReceiverBudget = ReceiverBudget()
     measured_victor_db: float = 3.54
     trace_antisqueezing_db: float = 7.0
     predicted_minus_db: float = -3.97
@@ -541,9 +604,10 @@ def _run_fidelity_anchors(p: FidelityAnchorsParams, opt: RunOptions) -> Scenario
     add_case("classical-ideal", sv, victor_variance(vac, ideal, gains, "p"),
              4.77, 0.01, 0.500, 0.001, "formula")
 
+    as_built = p.as_built.widen()
     add_case("classical-as-built",
-             victor_variance(vac, p.as_built, gains, "x"),
-             victor_variance(vac, p.as_built, gains, "p"),
+             victor_variance(vac, as_built, gains, "x"),
+             victor_variance(vac, as_built, gains, "p"),
              4.84, 0.02, 0.494, 0.002, "model")
 
     measured = from_db(p.measured_victor_db)
@@ -561,9 +625,10 @@ def _run_fidelity_anchors(p: FidelityAnchorsParams, opt: RunOptions) -> Scenario
              3.47, 0.03, 0.62, 0.005, "experiment")
 
     predicted_sq = SqueezingParams.from_db(p.predicted_minus_db, p.predicted_plus_db)
+    predicted = p.predicted.widen()
     add_case("predicted-entanglement",
-             bob_field_variance(predicted_sq, p.predicted, "x"),
-             bob_field_variance(predicted_sq, p.predicted, "p"),
+             bob_field_variance(predicted_sq, predicted, "x"),
+             bob_field_variance(predicted_sq, predicted, "p"),
              2.82, 0.05, 0.69, 0.005, "experiment")
 
     columns = ("case", "sigma_db", "sigma_ref_db", "sigma_tol_db",
@@ -647,7 +712,7 @@ def _run_channel_cancellation(p: ChannelCancellationParams,
 
 @dataclass(frozen=True)
 class SpectralRatiosParams:
-    budget: EfficiencyBudget = BUDGET_BEST
+    budget: VacuumXBudget = VacuumXBudget()
     large_power: float = 1e6
     input_total_db: float = 24.9
     classical_total: float = 354.8
@@ -686,7 +751,7 @@ def _run_spectral_ratios(p: SpectralRatiosParams, opt: RunOptions) -> ScenarioRe
         on.victor_x, 354.1, 0.05, "experiment", "linear")
 
     add("verifier vacuum-input level, as-built chain (dB)",
-        to_db(victor_variance(vac, p.budget, gains, "x")), 4.8, 0.06,
+        to_db(victor_variance(vac, p.budget.widen(), gains, "x")), 4.8, 0.06,
         "experiment", "db")
 
     columns = ("case", "value", "reference", "tolerance", "unit", "status")
@@ -705,7 +770,7 @@ class Fig16Params:
     quantum_efficiency: float = 0.988
     xi_epr: float = 0.985
     double_pump_debit_db: float = 0.3
-    budget: EfficiencyBudget = BUDGET_PREDICTED
+    budget: ReceiverBudget = ReceiverBudget()
     pump_min_mw: float = 0.0
     pump_max_mw: float = 150.0
     points: int = 31
@@ -715,13 +780,14 @@ def _run_fig16(p: Fig16Params, opt: RunOptions) -> ScenarioResult:
     opo = OpoParams(t_coupler=p.t_coupler, e_nl=p.e_nl, l_passive=p.l_passive)
     chain = DetectionChain.from_intensity_loss(p.propagation_loss, p.visibility,
                                                p.quantum_efficiency)
+    budget = p.budget.widen()
     rows = []
     for pump in _linspace(p.pump_min_mw, p.pump_max_mw, p.points):
         detected = squeezing_vs_pump(opo, chain, pump * 1e-3)
         derated = double_pump_debit(detected, p.double_pump_debit_db)
         at_epr = back_propagate_to_epr(derated, chain, p.xi_epr)
-        sw_x = bob_field_variance(at_epr, p.budget, "x")
-        sw_p = bob_field_variance(at_epr, p.budget, "p")
+        sw_x = bob_field_variance(at_epr, budget, "x")
+        sw_p = bob_field_variance(at_epr, budget, "p")
         rows.append((pump, detected.minus_db, detected.plus_db,
                      at_epr.minus_db, at_epr.plus_db, to_db(sw_x),
                      fidelity(sw_x, sw_p)))

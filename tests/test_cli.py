@@ -115,11 +115,12 @@ def test_oracle_scan_grades_its_monte_carlo_columns(capsys):
     code, _, err = run_cli(["run", "fig2", "--oracle"], capsys)
     assert code == 0
     assert "[ok] Monte Carlo cells within 3 standard errors" in err
-    assert "1/1 checks passed" in err
-    # the plain scan samples nothing and grades nothing
+    assert "3/3 checks passed" in err
+    # the plain scan samples nothing and grades only the ideal-chain identities
     code, _, err = run_cli(["run", "fig2"], capsys)
     assert code == 0
-    assert err == "0/0 checks passed\n"
+    assert "Monte Carlo" not in err
+    assert err.count("[ok] ideal") == 2 and err.endswith("2/2 checks passed\n")
 
 
 def test_oracle_scan_below_the_grid_rule_fails(capsys):

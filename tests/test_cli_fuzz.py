@@ -2,10 +2,10 @@
 
 Whatever the value, the run must end in exit 0 (every check passed), 1 (a
 real check failed) or 2 (bad input), never in an exception, and a run that
-exits 0 must write only finite numbers. Retired keys, deleted because no
-computation read them or because they set a check's pass rule, must exit 2
-whatever the value, so an old config line fails loudly instead of being
-ignored.
+exits 0 must have graded at least one check and written only finite
+numbers. Retired keys, deleted because no computation read them or because
+they set a check's pass rule, must exit 2 whatever the value, so an old
+config line fails loudly instead of being ignored.
 """
 
 import contextlib
@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 from cvteleport.cli import main
 from cvteleport.scenarios import get_preset, list_presets
-from cvteleport.teleporter import EfficiencyBudget
 
 HOSTILE = ("0", "-1", "1", "2", "", " ", "nan", "-nan", "inf", "-inf", "1e308",
            "-1e308", "1e-300", "-1e-300", "abc", "1,nan", "1,,2", ",", "true",
@@ -44,11 +44,24 @@ CASES = [(preset.name, key) for preset in list_presets()
          for key in _leaf_keys(preset.params_type())]
 RETIRED = ([(preset.name, f"{f.name}.{old}") for preset in list_presets()
             for f in dataclasses.fields(preset.params_type)
-            if isinstance(f.default, EfficiencyBudget)
+            if dataclasses.is_dataclass(f.default)
             for old in ("t_b", "xi_epr")]
            + [("fig4", "t_b")]
            + [("channel-cancellation", key)
-              for key in ("probe_offset_hz", "probe_ref_db", "probe_tol_db")])
+              for key in ("probe_offset_hz", "probe_ref_db", "probe_tol_db")]
+           # budget fields a preset never read: at vacuum squeezing only the
+           # sender arms act, x-only presets read no p arm, and the receiver
+           # field has the verifier stripped off
+           + [(preset, f"{group}.{name}") for preset, group, names in (
+               ("fig2", "budget", ("xi3", "alpha_ap")),
+               ("fig12-gain-sweep", "budget",
+                ("xi1", "xi3", "xi4", "xi5", "alpha_ap", "alpha_v", "r_b")),
+               ("spectral-ratios", "budget",
+                ("xi1", "xi3", "xi4", "xi5", "alpha_ap", "alpha_v", "r_b")),
+               ("fidelity-anchors", "as_built", ("xi1", "xi4", "xi5", "alpha_v", "r_b")),
+               ("fidelity-anchors", "predicted", ("xi5", "alpha_v")),
+               ("fig16-fidelity-vs-pump", "budget", ("xi5", "alpha_v")),
+           ) for name in names])
 
 
 def _hostile_examples(test):
@@ -76,6 +89,8 @@ def test_hostile_override(preset, key, value):
         assert err.getvalue().startswith("error: ")
     if code != 0:
         return
+    graded = re.search(r"^(\d+)/(\d+) checks passed$", err.getvalue(), re.M)
+    assert graded and int(graded[2]) >= 1, err.getvalue()
     for row in csv.reader(io.StringIO(out.getvalue())):
         for cell in row:
             try:

@@ -154,14 +154,43 @@ def test_every_check_reads_the_same_cases_in_small_slices(monkeypatch):
     assert sliced == whole
 
 
-def test_drawing_the_cases_holds_one_slice_at_a_time():
-    # 10**6 one-input cases as one block of Python floats take about
-    # 100 MB; a slice of them about 7 MB
+def _draw_peak(draw, slices):
+    # peak traced memory while drawing `slices` slices of one-input cases
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        collections.deque(properties._draw(rng, 10**6, ((0.0, 1.0),)), maxlen=0)
+        collections.deque(draw(rng, slices * properties._SLICE, ((0.0, 1.0),)),
+                          maxlen=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    return peak
+
+
+def _one_block(rng, cases, ranges):
+    low, high = zip(*ranges)
+    yield from rng.uniform(low, high, size=(cases, len(ranges))).tolist()
+
+
+def _kept_slices(rng, cases, ranges):
+    low, high = zip(*ranges)
+    kept = []
+    for rows in properties._slices(cases):
+        kept.append(rng.uniform(low, high, size=(rows, len(ranges))).tolist())
+        yield from kept[-1]
+
+
+def _peak_is_flat(monkeypatch, draw):
+    # a 2**10-row slice of one-input cases is about 100 kB of Python floats;
+    # one block of 64 slices takes 16 times the memory of one of 4
+    monkeypatch.setattr(properties, "_SLICE", 2**10)
+    return _draw_peak(draw, 64) < 1.5 * _draw_peak(draw, 4)
+
+
+def test_drawing_the_cases_holds_one_slice_at_a_time(monkeypatch):
+    assert _peak_is_flat(monkeypatch, properties._draw)
+
+
+@pytest.mark.parametrize("draw", [_one_block, _kept_slices])
+def test_the_slice_bound_catches_a_block_or_kept_slices(monkeypatch, draw):
+    assert not _peak_is_flat(monkeypatch, draw)

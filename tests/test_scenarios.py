@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from cvteleport.cli import main
 from cvteleport.scenarios import MAX_GRID_POINTS, PRESETS, Fig2Params, \
     Fig3Params, Fig7Params, RunOptions, _linspace, _pump_grid_mw, _within_3se, \
     apply_overrides, get_preset, list_presets, run_preset
@@ -41,6 +42,74 @@ def test_fast_presets_pass_their_checks(name):
     for check in result.checks:
         assert check.passed, f"{check.name}: {check.value} vs " \
                              f"{check.expected}±{check.tolerance}"
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_reports_a_check(name):
+    # the grid's checks do not depend on its sample count
+    overrides = {"samples": "2000"} if name == "oracle-grid" else None
+    assert run_preset(name, overrides=overrides).checks
+
+
+def _leaf_values(params, prefix=""):
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_values(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+def _float_steps(value):
+    return (0.03, -0.03) if value == 0.0 else (value * 1.03, value * 0.97)
+
+
+def _steps(value):
+    """Alternative override texts about 3% from value, one list for each
+    part that must move an output: each element of a tuple in turn. Both
+    directions are tried, so a unit-interval value at 1 steps down and a grid
+    bound can drop a grid point."""
+    if isinstance(value, bool):
+        return [[str(not value)]]
+    if isinstance(value, int):
+        step = max(1, round(0.03 * value))
+        return [[str(value + step), str(value - step)]]
+    if isinstance(value, tuple):
+        return [[",".join(repr(s if j == i else v) for j, v in enumerate(value))
+                 for s in _float_steps(element)]
+                for i, element in enumerate(value)]
+    return [[repr(s) for s in _float_steps(value)]]
+
+
+# where every key acts: fig2's samples only with its Monte Carlo columns on;
+# the acceptance grid runs at a small sample count
+CONTEXT = {"fig2": {"oracle": "true"}, "oracle-grid": {"samples": "2000"}}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_override_key_moves_an_output(name, capsys):
+    context = CONTEXT.get(name, {})
+
+    def run(overrides):
+        argv = ["run", name]
+        for key, raw in {**context, **overrides}.items():
+            argv += ["--set", f"{key}={raw}"]
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    _, base = run({})
+    dead = []
+    params = apply_overrides(PRESETS[name].params_type(), context)
+    for key, value in _leaf_values(params):
+        for alternatives in _steps(value):
+            moved = []
+            for raw in alternatives:
+                code, output = run({key: raw})
+                if code != 2:  # a step out of the valid range moves nothing
+                    moved.append(output != base)
+            if not any(moved):
+                dead.append(key)
+    assert dead == []
 
 
 def test_fig2_oracle_columns():
