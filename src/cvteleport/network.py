@@ -283,13 +283,37 @@ def transfer_matrix(squeezing, budget, gains, angles=LOCKED) -> np.ndarray:
     """
     stack = np.broadcast(*angles).shape
     shape = stack + (PORTS,)
-    # one identity row per port, and each angle copied out to the row
-    # shape, so that push may overwrite both
+    # one identity row per port, and each angle but the scalar 0.0, which
+    # push leaves out, copied out to the row shape, so that push may
+    # overwrite both
     state = np.empty((PORTS,) + shape)
     state[...] = np.eye(PORTS).reshape((PORTS,) + (1,) * len(stack) + (PORTS,))
-    rows = np.empty((len(angles),) + shape)
-    for row, theta in zip(rows, angles):
-        row[...] = np.asarray(theta)[..., None]
+    rows = [0.0] * len(angles)
+    for k, theta in enumerate(angles):
+        if np.ndim(theta) > 0 or theta != 0.0:
+            rows[k] = np.empty(shape)
+            rows[k][...] = np.asarray(theta)[..., None]
     out = np.empty((4,) + shape)
     push(state, squeezing, budget, gains, rows, out)
     return np.moveaxis(out, 0, -2)
+
+
+def lock_curvatures(squeezing, budget, gains) -> np.ndarray:
+    """Half the second derivative of each output variance along each lock
+    angle at the lock point, shape (4, 4): row k is the angle k of
+    (theta_e, theta_ax, theta_ap, theta_b), column j the output j of
+    (i_x, i_p, x_out, p_out).
+
+    Each angle enters T through one rotation, so along it, with the others
+    at 0, T = A + B cos(theta) + C sin(theta). One stacked transfer_matrix
+    at theta = 0, pi/2 and pi gives B = (T(0) - T(pi))/2 and
+    C = T(pi/2) - (T(0) + T(pi))/2, and then half the second derivative of
+    a squared entry at 0 is C^2 - T(0) B. A small Gaussian jitter of rms
+    sigma on the angle raises the variance by that curvature times sigma^2.
+    """
+    nodes = np.eye(4)[..., None] * (0.0, math.pi / 2.0, math.pi)
+    t = transfer_matrix(squeezing, budget, gains, tuple(nodes))
+    t_0, t_half, t_pi = np.moveaxis(t, 1, 0)
+    b = (t_0 - t_pi) / 2.0
+    c = t_half - (t_0 + t_pi) / 2.0
+    return (c * c - t_0 * b).sum(axis=-1)

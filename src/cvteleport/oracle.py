@@ -15,9 +15,10 @@ Statistical Analysis, 7.2): 16 chi-square and at most 120 normal draws at
 any N, with the same law as the per-shot estimate. The squeezers only
 scale the four seed columns of T (network.seed_gains), so T is pushed
 once per (budget, gains) with vacuum seeds and each cell scales a copy
-of it by its own squeezing. A chain with jitter
-has a fresh rotation per shot and a non-Gaussian output, so it is sampled
-shot by shot, in chunks of _CHUNK shots:
+of it by its own squeezing. A jitter whose every rms is 0 is no jitter,
+and ChainConfig drops it. A chain with jitter has a fresh rotation per
+shot and a non-Gaussian output, so it is sampled shot by shot, in chunks
+of _CHUNK shots:
 
 - stream layout: chunk k of ceil(N/_CHUNK) (the last one short, n_k
   shots) draws from Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))),
@@ -97,6 +98,10 @@ class ChainConfig:
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2 for a sample variance, "
                              f"got {self.samples!r}")
+        # a lock that never moves is the locked chain: it takes the Gaussian
+        # path, which draws the Bartlett factor and has exact references
+        if self.jitter == PhaseJitter():
+            object.__setattr__(self, "jitter", None)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, fields, is_dataclass, make_dataclass, 
 
 from .epr import SqueezingParams, correlation_product, single_beam_variance, \
     sum_difference_variances
-from .jitter import PhaseJitter, victor_lo_scan, victor_variance_jitter
+from .jitter import PhaseJitter, victor_lo_scan
+from .network import lock_curvatures
 from .opo import BliiraTable, DetectionChain, OpoParams, back_propagate_to_epr, \
     double_pump_debit, escape_efficiency, parametric_gain, squeezing_vs_pump, \
     threshold, total_loss
@@ -433,13 +434,12 @@ def _run_fig7(p: Fig7Params, opt: RunOptions) -> ScenarioResult:
         if deg == 6.0:
             checks.append(Check("peak-to-peak at 6 deg EPR-phase jitter (dB)",
                                 ptp, 0.21, 0.03, "experiment"))
-    # quadratic weight of the EPR phase vs the receiver phase, exact ratio 4
-    h = 1e-3
-    base = victor_variance_jitter(sq, PhaseJitter(), "x")
-    de = victor_variance_jitter(sq, PhaseJitter(theta_e_rms=h), "x") - base
-    db_ = victor_variance_jitter(sq, PhaseJitter(theta_b_rms=h), "x") - base
+    # quadratic weight of the EPR phase vs the receiver phase in x, exact
+    # ratio 4, from the network's own curvatures rather than from the law
+    curvature = lock_curvatures(sq, EfficiencyBudget.ideal(), GainSettings())
     checks.append(Check("EPR-phase vs receiver-phase jitter weight ratio",
-                        de / db_, 4.0, 1e-9, "formula"))
+                        float(curvature[0, 2] / curvature[3, 2]), 4.0, 1e-9,
+                        "formula"))
     return ScenarioResult(columns, rows, tuple(checks))
 
 
@@ -536,6 +536,11 @@ class Fig12Params:
 
 
 def _run_fig12(p: Fig12Params, opt: RunOptions) -> ScenarioResult:
+    for key in ("gain_min", "gain_max"):
+        if getattr(p, key) <= 0.0:
+            raise ValueError(f"{key} must be > 0 for the gain_db column, "
+                             f"20 log10(gain), got {getattr(p, key)!r}")
+
     def label(level):
         return f"victor_db_in{format(level, 'g').replace('.', 'p')}db"
 

@@ -188,12 +188,17 @@ def test_epr_correlations_vacuum_check_off_zero_start(capsys):
     ["fig7", "--set", "points=3", "--set", "theta_e_deg=0"],
     ["fig7", "--set", "points=2"],
     ["fig7", "--set", "points=1"],
+    # the gain_db column is 20 log10(g)
+    ["fig12-gain-sweep", "--set", "gain_min=0"],
+    ["fig12-gain-sweep", "--set", "gain_max=0"],
 ])
 def test_bad_input_returns_two(args, capsys):
     code, out, err = run_cli(["run"] + args, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    if args[0] == "fig12-gain-sweep":
+        assert args[-1].partition("=")[0] in err
 
 
 @pytest.mark.parametrize("flag", [["--samples", "5"], ["--oracle"]])

@@ -1,13 +1,19 @@
 """Small-angle phase jitter of the chain's four lock points."""
 
+import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvteleport.epr import SqueezingParams
-from cvteleport.jitter import PhaseJitter, victor_lo_scan, victor_variance_jitter
-from cvteleport.network import transfer_matrix
+from cvteleport.jitter import PhaseJitter, _jitter_weight, victor_lo_scan, \
+    victor_variance_jitter
+from cvteleport.network import lock_curvatures, transfer_matrix
+from cvteleport.scenarios import OracleGridParams, grid_configs
 from cvteleport.teleporter import EfficiencyBudget, GainSettings
 from cvteleport.units import to_db
 
@@ -78,6 +84,65 @@ def test_epr_lock_weighs_four_times_the_receiver_lock():
     d_e = victor_variance_jitter(SQ, PhaseJitter(theta_e_rms=h), "x") - base
     d_b = victor_variance_jitter(SQ, PhaseJitter(theta_b_rms=h), "x") - base
     assert d_e / d_b == pytest.approx(4.0, abs=3e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r_minus=st.floats(min_value=0.05, max_value=1.5),
+       excess=st.floats(min_value=0.0, max_value=1.0))
+def test_the_laws_weights_are_the_networks_curvatures(r_minus, excess):
+    # the law's hand-written weights, derived from the network: on the ideal
+    # chain at unit gain, the curvature of each output variance along each
+    # lock angle is that angle's weight times sigma_plus - sigma_minus
+    sq = SqueezingParams(r_minus, r_minus + excess)
+    spread = sq.sigma_plus - sq.sigma_minus
+    curvature = lock_curvatures(sq, EfficiencyBudget.ideal(), GainSettings())
+    for k, lock in enumerate(fields(PhaseJitter)):
+        unit = PhaseJitter(**{lock.name: 1.0})
+        for row, quad in ((2, "x"), (3, "p")):
+            weight = _jitter_weight(unit, quad)
+            assert abs(curvature[k, row] - weight * spread) <= 1e-12 * spread, \
+                (lock.name, quad)
+
+
+def _three_node_rule(sigma):
+    """Nodes (0, a, -a) and weights of the symmetric rule that matches
+    E[cos theta] = exp(-sigma^2/2) and E[cos 2 theta] = exp(-2 sigma^2) for
+    theta ~ N(0, sigma^2), and so averages any polynomial of degree 2 in
+    (cos theta, sin theta) exactly."""
+    one_minus_c1 = -math.expm1(-0.5 * sigma * sigma)
+    one_minus_c2 = -math.expm1(-2.0 * sigma * sigma)
+    cos_a = one_minus_c2 / (2.0 * one_minus_c1) - 1.0
+    w = one_minus_c1 / (2.0 * (1.0 - cos_a))
+    a = math.acos(cos_a)
+    return (0.0, a, -a), (1.0 - 2.0 * w, w, w)
+
+
+def test_jitter_averaged_cross_term_vanishes():
+    # victor_lo_scan interpolates between the x and p variances by
+    # cos^2/sin^2, exact only if E[x_out p_out] = 0. Each angle enters T
+    # through one rotation, so the product of two entries has degree 2 in
+    # each angle's (cos, sin), and the product of three-node rules over the
+    # live angles averages it exactly
+    configs = [config for _, config in grid_configs(OracleGridParams(), seed=0)
+               if config.jitter is not None]
+    assert len(configs) == 5
+    for config in configs:
+        rules = []
+        for lock in fields(PhaseJitter):
+            sigma = getattr(config.jitter, lock.name)
+            nodes, weights = ((0.0,), (1.0,)) if sigma == 0.0 else _three_node_rule(sigma)
+            assert sum(w * math.cos(n) for n, w in zip(nodes, weights)) == \
+                pytest.approx(math.exp(-0.5 * sigma * sigma), abs=1e-15)
+            assert sum(w * math.cos(2.0 * n) for n, w in zip(nodes, weights)) == \
+                pytest.approx(math.exp(-2.0 * sigma * sigma), abs=1e-15)
+            rules.append(list(zip(nodes, weights)))
+        grid = list(itertools.product(*rules))
+        assert len(grid) <= 81
+        angles = tuple(np.array([point[k][0] for point in grid]) for k in range(4))
+        weights = np.array([math.prod(w for _, w in point) for point in grid])
+        t = transfer_matrix(config.squeezing, config.budget, config.gains, angles)
+        cross = weights @ (t[:, 2, :] * t[:, 3, :]).sum(axis=-1)
+        assert abs(cross) < 1e-15, config.jitter
 
 
 def test_lo_scan_endpoints_and_modulation():

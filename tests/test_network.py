@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 import cvteleport.network as network
 from cvteleport.epr import SqueezingParams
-from cvteleport.network import LOCKED, PORTS, live_ports, push, seed_gains, \
-    transfer_matrix
+from cvteleport.network import LOCKED, PORTS, live_ports, lock_curvatures, push, \
+    seed_gains, transfer_matrix
 from cvteleport.scenarios import OracleGridParams, grid_configs
 from cvteleport.teleporter import EfficiencyBudget, GainSettings, alice_variance, \
     victor_variance
@@ -273,6 +273,75 @@ def test_transfer_matrix_leaves_the_angles_unchanged():
     assert t.shape == (2, 7, 4, PORTS)
     for theta, before in zip(angles, kept):
         assert np.array_equal(theta, before)
+
+
+def _rotating_every_angle(squeezing, budget, gains, angles):
+    # transfer_matrix with every angle copied out to a row, the scalar 0.0
+    # too, so that push rotates by each of them
+    stack = np.broadcast(*angles).shape
+    shape = stack + (PORTS,)
+    state = np.empty((PORTS,) + shape)
+    state[...] = np.eye(PORTS).reshape((PORTS,) + (1,) * len(stack) + (PORTS,))
+    rows = np.empty((len(angles),) + shape)
+    for row, theta in zip(rows, angles):
+        row[...] = np.asarray(theta)[..., None]
+    out = np.empty((4,) + shape)
+    push(state, squeezing, budget, gains, rows, out)
+    return np.moveaxis(out, 0, -2)
+
+
+mixed_angle = st.one_of(st.just(0.0), st.just(-0.0), angle, angle_arrays)
+
+
+@settings(max_examples=200, deadline=None)
+@given(budget=budgets(st.one_of(st.just(1.0), efficiency)),
+       g_x=st.floats(min_value=0.0, max_value=2.0),
+       g_p=st.floats(min_value=0.0, max_value=2.0),
+       angles=st.tuples(mixed_angle, mixed_angle, mixed_angle, mixed_angle))
+def test_a_zero_angle_is_the_identity_rotation(budget, g_x, g_p, angles):
+    # transfer_matrix hands a scalar zero angle to push as the identity; the
+    # rotation by 0 it leaves out would give the same T
+    sq = SqueezingParams.from_db(-3.0, 7.0)
+    gains = GainSettings(g_x, g_p)
+    assert np.array_equal(transfer_matrix(sq, budget, gains, angles),
+                          _rotating_every_angle(sq, budget, gains, angles))
+
+
+@settings(max_examples=100, deadline=None)
+@given(budget=budgets(st.one_of(st.just(1.0), efficiency)),
+       g_x=st.floats(min_value=0.0, max_value=2.0),
+       g_p=st.floats(min_value=0.0, max_value=2.0),
+       k=st.integers(0, 3), theta=angle,
+       others=st.tuples(angle, angle, angle, angle))
+def test_each_lock_angle_enters_through_one_rotation(budget, g_x, g_p, k, theta,
+                                                     others):
+    # along one angle, the others held anywhere, T = A + B cos + C sin, with
+    # A, B and C read off T at 0, pi/2 and pi: what lock_curvatures rests on
+    angles = list(others)
+    angles[k] = np.array([0.0, math.pi / 2.0, math.pi, theta])
+    t_0, t_half, t_pi, t = transfer_matrix(SqueezingParams.from_db(-3.0, 7.0),
+                                           budget, GainSettings(g_x, g_p), angles)
+    a = (t_0 + t_pi) / 2.0
+    b = (t_0 - t_pi) / 2.0
+    c = t_half - a
+    fit = a + b * math.cos(theta) + c * math.sin(theta)
+    assert np.all(np.abs(t - fit) <= 1e-14 * np.abs(t_0).max())
+
+
+def test_lock_curvatures_match_a_second_difference():
+    # half the second derivative of each output variance along each angle,
+    # against a central difference of the variances at +-h
+    sq = SqueezingParams.from_db(-3.0, 7.0)
+    budget = EfficiencyBudget(xi1=0.9, xi4=0.95, alpha_ax=0.8, r_b=0.9)
+    gains = GainSettings(0.9, 1.1)
+    h = 1e-4
+    steps = np.eye(4)[..., None] * (-h, 0.0, h)
+    t = transfer_matrix(sq, budget, gains, tuple(steps))
+    variance = (t * t).sum(axis=-1)
+    second = (variance[:, 0] - 2.0 * variance[:, 1] + variance[:, 2]) / (2.0 * h * h)
+    curvature = lock_curvatures(sq, budget, gains)
+    assert curvature.shape == (4, 4)
+    np.testing.assert_allclose(curvature, second, rtol=1e-6, atol=1e-6)
 
 
 def test_dead_feedforward_path_rejected():

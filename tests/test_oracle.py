@@ -421,6 +421,25 @@ def test_closed_form_reference_selection():
     assert closed_form_reference(both)["sigma_v_x"] is None
 
 
+def test_a_still_lock_is_no_lock():
+    # a jitter whose every rms is 0 is the locked chain: it takes the
+    # Gaussian path, with its estimates and all four exact references
+    sq = SqueezingParams.from_db(-3.0, 7.0)
+    for budget in (EfficiencyBudget.ideal(), AS_BUILT):
+        for seed in (3, 11):
+            still = ChainConfig(squeezing=sq, budget=budget, jitter=PhaseJitter(),
+                                seed=seed)
+            locked = ChainConfig(squeezing=sq, budget=budget, seed=seed)
+            assert still.jitter is None and still == locked
+            assert simulate_chain(still) == simulate_chain(locked)
+            ref = closed_form_reference(still)
+            assert ref == closed_form_reference(locked)
+            assert None not in ref.values()
+    # any positive rms is a jitter
+    tiny = PhaseJitter(theta_b_rms=5e-324)
+    assert ChainConfig(jitter=tiny).jitter is tiny
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(samples=0)
