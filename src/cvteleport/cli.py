@@ -2,7 +2,9 @@
 
 `cvteleport list` prints the preset catalog; `cvteleport run <scenario>`
 evaluates one preset (or a config file naming one) and writes its table as
-CSV to stdout or --out. Check results go to stderr so the CSV stream stays
+CSV to stdout or --out. A catalog name always runs its preset; any other
+scenario naming a file is a config file, so one named like a preset runs by
+path (`./fig3`). Check results go to stderr so the CSV stream stays
 clean. Exit status: 0 when every check passes, 1 on a check failure, 2 on
 usage, config or parameter errors.
 
@@ -27,10 +29,8 @@ import os
 import sys
 
 from .configfile import load_config
-from .scenarios import RunOptions, ScenarioResult, format_float, list_presets, \
-    run_preset
-
-DEFAULT_SEED = 12345
+from .scenarios import PRESETS, RunOptions, ScenarioResult, format_float, \
+    list_presets, run_preset
 
 
 def _format_cell(value) -> str:
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="preset name, or path to a key=value config file "
                           "containing preset=<name>")
     run.add_argument("--seed", type=int, default=None,
-                     help=f"RNG seed for sampled columns (default {DEFAULT_SEED})")
+                     help=f"RNG seed for sampled columns (default {RunOptions.seed})")
     run.add_argument("--samples", default=None, metavar="N",
                      help="shorthand for --set samples=N")
     run.add_argument("--oracle", action="store_true",
@@ -103,9 +103,9 @@ def _cmd_list() -> int:
 
 def _cmd_run(args) -> int:
     overrides: dict = {}
-    seed = DEFAULT_SEED
+    seed = RunOptions.seed
 
-    if os.path.isfile(args.scenario):
+    if args.scenario not in PRESETS and os.path.isfile(args.scenario):
         overrides = load_config(args.scenario)
         name = overrides.pop("preset", None)
         if name is None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import epr_stage, seed_gains
-from .units import from_db, to_db
+from .units import LN10, to_db
 
 # largest r_plus whose anti-squeezed EPR variances (up to 2 sigma_plus)
 # are still finite floats
@@ -39,6 +39,10 @@ class SqueezingParams:
     r_plus: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.r_minus) and math.isfinite(self.r_plus)):
+            # NaN would pass every test below
+            raise ValueError(f"r_minus and r_plus must be finite, got "
+                             f"{self.r_minus!r} and {self.r_plus!r}")
         if self.r_minus < 0.0:
             raise ValueError(f"r_minus must be >= 0, got {self.r_minus!r}")
         if self.r_plus < self.r_minus:
@@ -72,11 +76,6 @@ class SqueezingParams:
         return cls(0.0, 0.0)
 
     @classmethod
-    def pure(cls, r: float):
-        """Minimum-uncertainty squeezing, equal strength both quadratures."""
-        return cls(r, r)
-
-    @classmethod
     def from_variances(cls, sigma_minus: float, sigma_plus: float):
         if not 0.0 < sigma_minus <= 1.0:
             raise ValueError(f"squeezed variance must lie in (0, 1], got {sigma_minus!r}")
@@ -86,8 +85,13 @@ class SqueezingParams:
 
     @classmethod
     def from_db(cls, minus_db: float, plus_db: float):
-        """From dB levels re vacuum, e.g. (-3.73, +6.9)."""
-        return cls.from_variances(from_db(minus_db), from_db(plus_db))
+        """From dB levels re vacuum, e.g. (-3.73, +6.9): r = |level| ln10/20,
+        so (-d, +d) is pure squeezing with r_minus == r_plus bit for bit."""
+        if not minus_db <= 0.0:
+            raise ValueError(f"squeezed level must be <= 0 dB, got {minus_db!r}")
+        if not plus_db >= 0.0:
+            raise ValueError(f"anti-squeezed level must be >= 0 dB, got {plus_db!r}")
+        return cls(-minus_db * LN10 / 20.0, plus_db * LN10 / 20.0)
 
 
 @functools.cache

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .epr import SqueezingParams
-from .units import from_db, invert_loss_channel, loss_channel
+from .units import check_unit_interval, from_db, invert_loss_channel, loss_channel
 
 # cavity half width at half maximum and the sideband frequency the spectra
 # are evaluated at, Hz
@@ -80,7 +80,7 @@ class OpoParams:
     t_coupler: float = 0.10
     e_nl: float = 0.021
     l_passive: float = 0.0
-    bliira: BliiraTable = field(default_factory=BliiraTable.default)
+    bliira: BliiraTable = BliiraTable.default()
 
     def __post_init__(self):
         if not 0.0 < self.t_coupler < 1.0:
@@ -105,9 +105,7 @@ class DetectionChain:
 
     def __post_init__(self):
         for name in ("propagation", "visibility", "quantum_efficiency"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            check_unit_interval(name, getattr(self, name))
 
     @classmethod
     def from_intensity_loss(cls, propagation_loss: float, visibility: float = 1.0,
@@ -144,12 +142,17 @@ def threshold(opo: OpoParams, pump: float = 0.0) -> float:
     return tl * tl / (4.0 * opo.e_nl)
 
 
-def parametric_gain(opo: OpoParams, pump: float) -> float:
-    """Classical amplification G = 1/(1 - sqrt(P/P_t))^2, diverging at threshold."""
+def _pump_ratio(opo: OpoParams, pump: float) -> float:
+    """sqrt(P/P_t) below threshold; raises at or above it."""
     p_t = threshold(opo, pump)
     if pump >= p_t:
         raise ValueError(f"pump {pump!r} W at or above oscillation threshold {p_t:.4g} W")
-    return 1.0 / (1.0 - math.sqrt(pump / p_t)) ** 2
+    return math.sqrt(pump / p_t)
+
+
+def parametric_gain(opo: OpoParams, pump: float) -> float:
+    """Classical amplification G = 1/(1 - sqrt(P/P_t))^2, diverging at threshold."""
+    return 1.0 / (1.0 - _pump_ratio(opo, pump)) ** 2
 
 
 def escape_efficiency(opo: OpoParams, pump: float) -> float:
@@ -169,10 +172,7 @@ def squeezing_vs_pump(opo: OpoParams, chain: DetectionChain,
     The anti-squeezed denominator closes near threshold, so the
     anti-squeezing diverges while the squeezing saturates.
     """
-    p_t = threshold(opo, pump)
-    if pump >= p_t:
-        raise ValueError(f"pump {pump!r} W at or above oscillation threshold {p_t:.4g} W")
-    x = math.sqrt(pump / p_t)
+    x = _pump_ratio(opo, pump)
     w2 = (ANALYSIS_FREQ / LINEWIDTH_HWHM) ** 2
     eta = escape_efficiency(opo, pump) * chain.efficiency
     sigma_minus = 1.0 - eta * 4.0 * x / ((1.0 + x) ** 2 + w2)

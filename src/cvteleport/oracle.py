@@ -57,7 +57,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,9 +87,9 @@ _FULL_RANK_BELOW = np.tril_indices(PORTS, -1, PORTS)
 class ChainConfig:
     """One Monte Carlo run: physics, sample count and seed."""
 
-    squeezing: SqueezingParams = field(default_factory=SqueezingParams)
-    budget: EfficiencyBudget = field(default_factory=EfficiencyBudget)
-    gains: GainSettings = field(default_factory=GainSettings)
+    squeezing: SqueezingParams = SqueezingParams()
+    budget: EfficiencyBudget = EfficiencyBudget()
+    gains: GainSettings = GainSettings()
     jitter: PhaseJitter | None = None
     samples: int = 1_000_000
     seed: int = 0

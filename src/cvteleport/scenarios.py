@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, make_dataclass, 
 
 from .epr import SqueezingParams, correlation_product, single_beam_variance, \
     sum_difference_variances
-from .jitter import PhaseJitter, victor_lo_scan
+from .jitter import PhaseJitter, _jitter_weight, victor_lo_scan
 from .network import lock_curvatures
 from .opo import BliiraTable, DetectionChain, OpoParams, back_propagate_to_epr, \
     double_pump_debit, escape_efficiency, parametric_gain, squeezing_vs_pump, \
@@ -33,9 +33,7 @@ from .teleporter import CoherentAmplitude, EfficiencyBudget, GainSettings, \
     alice_variance, bob_field_variance, channel_cancellation_db, fidelity, \
     fit_channel_cancellation, spectral_densities, squeezing_from_victor_variance, \
     victor_variance
-from .units import from_db, to_db
-
-LN10 = math.log(10.0)
+from .units import LN10, from_db, to_db
 
 # the most points any sweep may take; a list this long is about 32 MB
 MAX_GRID_POINTS = 10**6
@@ -91,7 +89,7 @@ def pure_squeezing(degree_db: float) -> SqueezingParams:
     -degree_db dB re vacuum."""
     if degree_db < 0.0:
         raise ValueError(f"degree of squeezing must be >= 0 dB, got {degree_db!r}")
-    return SqueezingParams.pure(degree_db * LN10 / 20.0)
+    return SqueezingParams.from_db(-degree_db, degree_db)
 
 
 # --- result plumbing ---
@@ -187,8 +185,16 @@ def _status(*checks: Check) -> str:
 
 
 def _holds_everywhere(name: str, holds: list, source: str) -> Check:
-    """1 when the condition holds at every point; an empty set fails."""
-    return Check(name, 1.0 if holds and all(holds) else 0.0, 1.0, 0.0, source)
+    """1 when the condition holds at every point. An input that leaves the
+    check no point to grade is bad input, so an empty set raises."""
+    if not holds:
+        raise ValueError(f"check {name!r} has no points to grade; widen the sweep")
+    return Check(name, 1.0 if all(holds) else 0.0, 1.0, 0.0, source)
+
+
+def _tag(value: float) -> str:
+    """A number in a column name, '.' spelled 'p': 3.73 -> 3p73."""
+    return format(value, "g").replace(".", "p")
 
 
 def _matches(value: float, exact: float) -> bool:
@@ -364,10 +370,7 @@ class Fig4Params:
 
 
 def _run_fig4(p: Fig4Params, opt: RunOptions) -> ScenarioResult:
-    def label(s_db):
-        return f"fidelity_{format(s_db, 'g').replace('.', 'p')}db"
-
-    columns = ("visibility",) + tuple(label(s) for s in p.squeezing_db)
+    columns = ("visibility",) + tuple(f"fidelity_{_tag(s)}db" for s in p.squeezing_db)
     gains = GainSettings()
     rows = []
     for v in _linspace(p.start, p.stop, p.points):
@@ -412,11 +415,8 @@ def _run_fig7(p: Fig7Params, opt: RunOptions) -> ScenarioResult:
                          f"samples two quadratures, got {p.points}")
     sq = SqueezingParams.from_db(p.minus_db, p.plus_db)
     theta_v = _linspace(0.0, 2.0 * math.pi, p.points)
-
-    def label(deg):
-        return f"noise_db_theta_e_{format(deg, 'g').replace('.', 'p')}deg"
-
-    columns = ("theta_v_deg",) + tuple(label(d) for d in p.theta_e_deg)
+    columns = ("theta_v_deg",) + tuple(f"noise_db_theta_e_{_tag(d)}deg"
+                                       for d in p.theta_e_deg)
     scans = {}
     for deg in p.theta_e_deg:
         jit = PhaseJitter.from_degrees(theta_e=deg)
@@ -434,12 +434,17 @@ def _run_fig7(p: Fig7Params, opt: RunOptions) -> ScenarioResult:
         if deg == 6.0:
             checks.append(Check("peak-to-peak at 6 deg EPR-phase jitter (dB)",
                                 ptp, 0.21, 0.03, "experiment"))
-    # quadratic weight of the EPR phase vs the receiver phase in x, exact
-    # ratio 4, from the network's own curvatures rather than from the law
+    # the law's eight weights (lock x quadrature), the EPR phase's 4x the
+    # receiver's in x among them, against the network's curvatures
+    # w (sigma_plus - sigma_minus); at vacuum those are 0 up to rounding
+    spread = sq.sigma_plus - sq.sigma_minus
     curvature = lock_curvatures(sq, EfficiencyBudget.ideal(), GainSettings())
-    checks.append(Check("EPR-phase vs receiver-phase jitter weight ratio",
-                        float(curvature[0, 2] / curvature[3, 2]), 4.0, 1e-9,
-                        "formula"))
+    deviation = max(abs(curvature[k, row]
+                        - spread * _jitter_weight(PhaseJitter(**{lock.name: 1.0}), quad))
+                    for k, lock in enumerate(fields(PhaseJitter))
+                    for row, quad in ((2, "x"), (3, "p")))
+    checks.append(Check("jitter law weights vs network curvatures (max deviation)",
+                        float(deviation), 0.0, 1e-12 * max(spread, 1.0), "formula"))
     return ScenarioResult(columns, rows, tuple(checks))
 
 
@@ -540,12 +545,8 @@ def _run_fig12(p: Fig12Params, opt: RunOptions) -> ScenarioResult:
         if getattr(p, key) <= 0.0:
             raise ValueError(f"{key} must be > 0 for the gain_db column, "
                              f"20 log10(gain), got {getattr(p, key)!r}")
-
-    def label(level):
-        return f"victor_db_in{format(level, 'g').replace('.', 'p')}db"
-
     columns = ("gain", "gain_db", "victor_db_vacuum") \
-        + tuple(label(level) for level in p.input_total_db)
+        + tuple(f"victor_db_in{_tag(level)}db" for level in p.input_total_db)
     sq = SqueezingParams.vacuum()
     inputs = [CoherentAmplitude.vacuum()] \
         + [CoherentAmplitude.from_total_db(level) for level in p.input_total_db]
@@ -993,10 +994,10 @@ def get_preset(name: str) -> Preset:
     return preset
 
 
-def run_preset(name: str, options: RunOptions | None = None,
+def run_preset(name: str, options: RunOptions = RunOptions(),
                overrides: dict | None = None) -> ScenarioResult:
     preset = get_preset(name)
     params = preset.params_type()
     if overrides:
         params = apply_overrides(params, overrides)
-    return preset.runner(params, options or RunOptions())
+    return preset.runner(params, options)

@@ -17,12 +17,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .epr import SqueezingParams
-from .units import from_db, to_db
-
-
-def _check_unit_interval(name, value):
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+from .units import check_unit_interval, from_db, to_db
 
 
 @dataclass(frozen=True)
@@ -53,7 +48,7 @@ class EfficiencyBudget:
 
     def __post_init__(self):
         for f in fields(self):
-            _check_unit_interval(f.name, getattr(self, f.name))
+            check_unit_interval(f.name, getattr(self, f.name))
 
     @property
     def eta_ax(self) -> float:
@@ -111,7 +106,7 @@ def _chain_coefficients(budget: EfficiencyBudget, gains: GainSettings, quad: str
 
 
 def victor_variance(squeezing: SqueezingParams, budget: EfficiencyBudget,
-                    gains: GainSettings | None = None, quad: str = "x") -> float:
+                    gains: GainSettings = GainSettings(), quad: str = "x") -> float:
     """Verifier quadrature variance of the teleported output.
 
     Exact for the Gaussian chain at fixed lock angles. The surviving EPR
@@ -120,8 +115,6 @@ def victor_variance(squeezing: SqueezingParams, budget: EfficiencyBudget,
     leaks with weight (g xi1 - r_b xi4 xi5 eta_v)^2 / 2; at unit gain on the
     ideal chain the leak cancels and the classical bound is 3 vacuum units.
     """
-    if gains is None:
-        gains = GainSettings()
     base, c_minus, c_plus = _chain_coefficients(budget, gains, quad)
     return base + c_minus * squeezing.sigma_minus + c_plus * squeezing.sigma_plus
 
@@ -177,7 +170,7 @@ class CoherentAmplitude:
 
 
 def fidelity(sigma_x: float, sigma_p: float,
-             beta_in: CoherentAmplitude | None = None,
+             beta_in: CoherentAmplitude = CoherentAmplitude(),
              beta_out: CoherentAmplitude | None = None) -> float:
     """Teleportation fidelity of a coherent input against the Gaussian output.
 
@@ -190,8 +183,6 @@ def fidelity(sigma_x: float, sigma_p: float,
     if sigma_x <= 0.0 or sigma_p <= 0.0:
         raise ValueError("output variances must be positive")
     sigma_q = math.sqrt((1.0 + sigma_x) * (1.0 + sigma_p))
-    if beta_in is None:
-        beta_in = CoherentAmplitude.vacuum()
     if beta_out is None:
         beta_out = beta_in
     dx = beta_out.mean_x - beta_in.mean_x
@@ -213,7 +204,7 @@ def bob_field_variance(squeezing: SqueezingParams, budget: EfficiencyBudget,
 
 def squeezing_from_victor_variance(sigma_v: float, budget: EfficiencyBudget,
                                    r_plus: float,
-                                   gains: GainSettings | None = None,
+                                   gains: GainSettings = GainSettings(),
                                    quad: str = "x") -> SqueezingParams:
     """Solve the chain variance for the squeezed quadrature.
 
@@ -222,8 +213,6 @@ def squeezing_from_victor_variance(sigma_v: float, budget: EfficiencyBudget,
     coefficient (g xi1 - r_b xi4 xi5 eta_v)^2 / 2 nearly cancels at unit
     gain. Raises when no physical squeezing reproduces the measurement.
     """
-    if gains is None:
-        gains = GainSettings()
     base, c_minus, c_plus = _chain_coefficients(budget, gains, quad)
     sigma_plus = math.exp(2.0 * r_plus)
     if c_minus == 0.0:
@@ -249,7 +238,7 @@ class SpectralDensities:
 
 def spectral_densities(beta_in: CoherentAmplitude, squeezing: SqueezingParams,
                        budget: EfficiencyBudget,
-                       gains: GainSettings | None = None) -> SpectralDensities:
+                       gains: GainSettings = GainSettings()) -> SpectralDensities:
     """Signal-plus-noise levels at the sender and the verifier.
 
     The sender's balanced beamsplitter halves the signal power per measured
@@ -257,12 +246,10 @@ def spectral_densities(beta_in: CoherentAmplitude, squeezing: SqueezingParams,
     the verifier sees the full teleported signal scaled by the normalized
     gain squared, sitting on the chain variance.
     """
-    if gains is None:
-        gains = GainSettings()
+    xi_a, eta_a = _sender_arm(budget, "x")
     p = beta_in.power
     return SpectralDensities(
-        alice_x=0.5 * (budget.xi2 ** 2) * budget.alpha_ax * p
-        + alice_variance(squeezing, budget, "x"),
+        alice_x=0.5 * (xi_a * eta_a) ** 2 * p + alice_variance(squeezing, budget, "x"),
         victor_x=gains.g_x ** 2 * p + victor_variance(squeezing, budget, gains, "x"),
     )
 

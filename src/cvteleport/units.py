@@ -10,6 +10,15 @@ from __future__ import annotations
 
 import math
 
+LN10 = math.log(10.0)
+
+
+def check_unit_interval(name: str, value: float) -> None:
+    """Refuse an efficiency or amplitude transmission outside [0, 1], NaN
+    included."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
 
 def to_db(value: float) -> float:
     """Linear variance (or power) ratio to dB re vacuum."""
@@ -31,8 +40,7 @@ def loss_channel(variance: float, transmission: float) -> float:
     the identity, 0 replaces the state with vacuum, and the vacuum itself is
     a fixed point for every t.
     """
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"amplitude transmission must lie in [0, 1], got {transmission!r}")
+    check_unit_interval("amplitude transmission", transmission)
     if variance <= 0.0:
         raise ValueError(f"variance must be positive, got {variance!r}")
     t2 = transmission * transmission

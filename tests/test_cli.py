@@ -158,6 +158,23 @@ def test_epr_correlations_vacuum_check_off_zero_start(capsys):
     assert "2/2 checks passed" in err
 
 
+# inputs that leave a check no point to grade, and the check each names
+NOTHING_TO_GRADE = {
+    ("fig12-gain-sweep", "--set", "points=1"):  # no second difference
+    "verifier level convex in gain (input vacuum)",
+    ("opo-gain", "--set", "pump_max_mw=0"):  # one pump point, no pair
+    "gain monotone increasing with pump",
+    ("fig10-squeezing", "--set", "points=1"):
+    "anti-squeezing monotone increasing with pump",
+    ("fig12-gain-sweep", "--set", "points=2"):
+    "verifier level convex in gain (input vacuum)",
+    ("fig16-fidelity-vs-pump", "--set", "pump_max_mw=5"):  # none past 10 mW
+    "fidelity beats the classical bound beyond 10 mW pump",
+    ("epr-correlations", "--set", "stop_db=0"):  # no squeezed point
+    "witness below the separable bound once squeezed",
+}
+
+
 @pytest.mark.parametrize("args", [
     ["fig2", "--oracle", "--samples", "0"],
     ["properties", "--samples", "0"],
@@ -191,13 +208,16 @@ def test_epr_correlations_vacuum_check_off_zero_start(capsys):
     # the gain_db column is 20 log10(g)
     ["fig12-gain-sweep", "--set", "gain_min=0"],
     ["fig12-gain-sweep", "--set", "gain_max=0"],
-])
+] + [list(args) for args in NOTHING_TO_GRADE])
 def test_bad_input_returns_two(args, capsys):
     code, out, err = run_cli(["run"] + args, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
-    if args[0] == "fig12-gain-sweep":
+    check = NOTHING_TO_GRADE.get(tuple(args))
+    if check is not None:
+        assert f"check {check!r} has no points to grade" in err
+    elif args[0] == "fig12-gain-sweep":
         assert args[-1].partition("=")[0] in err
 
 
@@ -208,16 +228,6 @@ def test_shorthand_flags_need_the_parameter(flag, capsys):
     assert code == 2
     assert flag[0].lstrip("-") in err
     assert "available here" in err
-
-
-@pytest.mark.parametrize("args", [
-    ["fig12-gain-sweep", "--set", "points=1"],  # no second difference to test
-    ["opo-gain", "--set", "pump_max_mw=0"],      # one pump point, no pair
-])
-def test_check_over_no_points_fails(args, capsys):
-    code, _, err = run_cli(["run"] + args, capsys)
-    assert code == 1
-    assert "FAIL" in err
 
 
 def test_samples_flag_matches_set_override(tmp_path, capsys):
@@ -263,6 +273,23 @@ def test_negative_seed_returns_two(args, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: seed must be a non-negative integer, got -2\n"
+
+
+def test_a_file_named_like_a_preset_does_not_hide_it(tmp_path, monkeypatch,
+                                                     capsys):
+    # a catalog name runs its preset even beside a file of that name; a
+    # config file named like a preset runs by path
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "fig3", "--out", "fig3"]) == 0
+    assert main(["run", "fig3", "--out", "again.csv"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "fig3").read_bytes()
+
+    (tmp_path / "fig3").write_text("preset=epr-backprop\n")
+    code, out, err = run_cli(["run", "./fig3"], capsys)
+    assert code == 0
+    assert out.startswith("quantity,")
+    assert "2/2 checks passed" in err
 
 
 def test_config_negative_seed_returns_two(tmp_path, capsys):

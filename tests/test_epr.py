@@ -32,7 +32,11 @@ def test_squeezing_validation():
     with pytest.raises(ValueError):
         SqueezingParams.from_variances(0.8, 0.9)  # product under the bound
     with pytest.raises(ValueError, match="float range"):
-        SqueezingParams.pure(400.0)  # sigma_plus = exp(800) overflows
+        SqueezingParams(400.0, 400.0)  # sigma_plus = exp(800) overflows
+    for r_minus, r_plus in ((math.nan, math.nan), (0.0, math.nan), (0.0, math.inf),
+                            (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            SqueezingParams(r_minus, r_plus)
 
 
 def test_squeezing_constructors():
@@ -42,7 +46,7 @@ def test_squeezing_constructors():
     assert sq.minus_db == pytest.approx(-3.0, abs=1e-12)
     assert sq.plus_db == pytest.approx(7.0, abs=1e-12)
 
-    pure = SqueezingParams.pure(0.5)
+    pure = SqueezingParams(0.5, 0.5)
     assert pure.sigma_minus * pure.sigma_plus == pytest.approx(1.0, rel=1e-14)
 
     vac = SqueezingParams.vacuum()
@@ -50,10 +54,25 @@ def test_squeezing_constructors():
 
 
 def test_from_db_rejects_wrong_signs():
-    with pytest.raises(ValueError):
-        SqueezingParams.from_db(1.0, 3.0)
-    with pytest.raises(ValueError):
-        SqueezingParams.from_db(-3.0, -1.0)
+    for minus_db in (1.0, math.nan):
+        with pytest.raises(ValueError, match=f"squeezed level .* got {minus_db}"):
+            SqueezingParams.from_db(minus_db, 3.0)
+    for plus_db in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=f"anti-squeezed level .* got {plus_db}"):
+            SqueezingParams.from_db(-3.0, plus_db)
+    for minus_db, plus_db in ((-math.inf, math.inf), (-3.0, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            SqueezingParams.from_db(minus_db, plus_db)
+
+
+def test_from_db_takes_every_pure_squeezing_level():
+    # (-d, +d) dB is minimum-uncertainty squeezing at r = d ln10/20 in both
+    # quadratures, bit for bit: two logarithms of 10**(d/10) would round one
+    # ulp apart, and r_plus < r_minus is refused
+    for hundredths in range(1, 2000):
+        d = hundredths / 100.0
+        r = d * math.log(10.0) / 20.0
+        assert SqueezingParams.from_db(-d, d) == SqueezingParams(r, r), d
 
 
 def test_vacuum_seeds_mix_orthogonally():
@@ -117,7 +136,7 @@ def test_witness_at_vacuum_boundary():
 @given(st.floats(min_value=1e-4, max_value=2.0))
 def test_witness_below_separable_bound_once_squeezed(r):
     # var(x1-x2) * var(p1+p2) = 4 exp(-4r) < 4 for any r > 0
-    product = correlation_product(SqueezingParams.pure(r))
+    product = correlation_product(SqueezingParams(r, r))
     assert product < 4.0
     assert product == pytest.approx(4.0 * math.exp(-4.0 * r), rel=1e-9)
 

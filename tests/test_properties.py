@@ -175,7 +175,8 @@ def _one_block(rng, cases, ranges):
 def _kept_slices(rng, cases, ranges):
     low, high = zip(*ranges)
     kept = []
-    for rows in properties._slices(cases):
+    for start in range(0, cases, properties._SLICE):
+        rows = min(properties._SLICE, cases - start)
         kept.append(rng.uniform(low, high, size=(rows, len(ranges))).tolist())
         yield from kept[-1]
 

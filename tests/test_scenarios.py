@@ -172,6 +172,18 @@ def test_boolean_override_words():
         apply_overrides(Fig2Params(), {"oracle": "maybe"})
 
 
+@pytest.mark.parametrize("minus_db, plus_db", [("0", "0"), ("-3", "7"), ("-10", "12")])
+def test_fig7_grades_the_laws_weights_at_any_squeezing(minus_db, plus_db):
+    # at vacuum every curvature is 0 up to rounding, so the check has a floor
+    # and divides by nothing: a RuntimeWarning would fail this test
+    result = run_preset("fig7", overrides={"minus_db": minus_db, "plus_db": plus_db})
+    formula = {check.name: check for check in result.checks
+               if check.source == "formula"}
+    assert "jitter law weights vs network curvatures (max deviation)" in formula
+    for check in formula.values():
+        assert check.passed, (check.name, check.value, check.tolerance)
+
+
 def test_run_preset_applies_overrides():
     result = run_preset("fig3", overrides={"points": "11"})
     assert len(result.rows) == 11

@@ -4,10 +4,11 @@ import math
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cvteleport.epr import SqueezingParams
+from cvteleport.network import transfer_matrix
 from cvteleport.scenarios import BUDGET_BEST
 from cvteleport.teleporter import CoherentAmplitude, EfficiencyBudget, \
     GainSettings, alice_variance, bob_field_variance, channel_cancellation_db, \
@@ -200,6 +201,33 @@ def test_spectral_density_ratios():
     assert to_db(probe.alice_x) == pytest.approx(
         to_db(0.5 * (from_db(24.9) - 1.0) + 1.0), rel=1e-14)
     assert to_db(probe.alice_x) == pytest.approx(21.9, abs=0.05)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.floats(min_value=0.0, max_value=1.5),
+       excess=st.floats(min_value=0.0, max_value=1.0),
+       effs=st.lists(st.floats(min_value=0.8, max_value=1.0), min_size=9, max_size=9),
+       g_x=st.floats(min_value=0.5, max_value=1.5),
+       g_p=st.floats(min_value=0.5, max_value=1.5),
+       power=st.floats(min_value=1e-2, max_value=1e6))
+def test_spectral_density_signal_terms_are_the_networks(r, excess, effs, g_x, g_p,
+                                                        power):
+    # push is linear, so a coherent input's mean reaches i_x and x_out
+    # through the x_in column of T: each station's signal term is that
+    # entry squared times the power. On budgets whose sender arms differ,
+    # a term that read the p arm for x would show
+    budget = EfficiencyBudget(*effs)
+    assume(budget.xi2 != budget.xi3 and budget.alpha_ax != budget.alpha_ap)
+    sq = SqueezingParams(r, r + excess)
+    gains = GainSettings(g_x, g_p)
+    dens = spectral_densities(CoherentAmplitude(power), sq, budget, gains)
+    t = transfer_matrix(sq, budget, gains)
+    alice_signal = float(t[0, 4]) ** 2 * power
+    victor_signal = float(t[2, 4]) ** 2 * power
+    assert dens.alice_x - alice_variance(sq, budget, "x") == \
+        pytest.approx(alice_signal, rel=1e-12)
+    assert dens.victor_x - victor_variance(sq, budget, gains, "x") == \
+        pytest.approx(victor_signal, rel=1e-12)
 
 
 def test_spectral_density_squeezing_drop():
