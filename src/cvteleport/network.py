@@ -29,7 +29,11 @@ whole. push writes:
 
 A dead port, one whose element is lossless, is never read, so the caller
 may pass it as 0.0; the scalar 0.0 angle is the identity rotation and
-costs nothing. push allocates no array the size of its rows.
+costs nothing. push allocates no array the size of its rows, and it runs
+in the dtype of its rows: every element writes into rows, and the
+parameters enter as Python floats, which numpy takes in the rows' dtype.
+So the oracle's float32 jitter chunks are pushed in float32, and
+transfer_matrix's float64 rows in float64.
 
 The squeezers are the chain's first element and act on the four seed
 ports alone, each scaling its seed by one entry of seed_gains. So T
@@ -64,10 +68,9 @@ Conventions:
   and any extra receiver loss, which only ever enter together;
 - the lock angles (theta_e, theta_ax, theta_ap, theta_b) may be arrays;
   the Monte Carlo resamples them per shot (quasi-static servo
-  fluctuations). An array angle's (cos, sin) comes from t = tan(theta/2)
-  as ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)), within 4.5e-16 of np.cos and
-  np.sin and exactly (1, 0) at theta = 0. push takes any other angle as
-  an array; transfer_matrix takes scalars and broadcasts them;
+  fluctuations). An array angle's (cos, sin) comes from np.cos and
+  np.sin, exactly (1, 0) at theta = 0. push takes any other angle as an
+  array; transfer_matrix takes scalars and broadcasts them;
 - every lossy element is t * signal + sqrt(1 - t^2) * port, and push
   leaves out a unit t and a zero leak, both exact no-ops. On the ideal
   chain that is a third of a shot's array arithmetic.
@@ -113,26 +116,17 @@ def _live(theta) -> bool:
     return False
 
 
-def _cos_sin(theta, cos, scratch):
+def _cos_sin(theta, cos):
     """Overwrite the array angle theta with its sine and write its cosine
-    into cos, from t = tan(theta / 2) as ((1 - t^2)/(1 + t^2),
-    2t/(1 + t^2)); scratch ends holding 1 + t^2."""
-    # one tan of the half angle costs about a third of a cos and a sin; at
-    # theta = 0 it gives exactly (1, 0)
-    theta *= 0.5
-    np.tan(theta, out=theta)
-    np.multiply(theta, theta, out=cos)
-    np.add(1.0, cos, out=scratch)
-    np.subtract(1.0, cos, out=cos)
-    cos /= scratch
-    theta += theta
-    theta /= scratch
+    into cos."""
+    np.cos(theta, out=cos)
+    np.sin(theta, out=theta)
 
 
 def _rotate(x, p, theta, cos, scratch):
     """(x, p) <- (c x + s p, c p - s x) in place, at the array angle theta,
     which ends holding s x. cos and scratch are scratch rows."""
-    _cos_sin(theta, cos, scratch)
+    _cos_sin(theta, cos)
     np.multiply(theta, p, out=scratch)      # s p
     p *= cos
     theta *= x                              # s x
@@ -243,14 +237,14 @@ def push(z, squeezing, budget, gains, angles, out):
     if live_ax:
         in_p -= p1                          # pu
         in_p /= SQRT2
-        _cos_sin(theta_ax, x1_0, p1_0)
+        _cos_sin(theta_ax, x1_0)
         i_x *= x1_0
         theta_ax *= in_p
         i_x += theta_ax                     # c xu + s pu
     if live_ap:
         x1 += in_x                          # xv
         x1 /= SQRT2
-        _cos_sin(theta_ap, x1_0, p1_0)
+        _cos_sin(theta_ap, x1_0)
         i_p *= x1_0
         theta_ap *= x1
         i_p -= theta_ap                     # c pv - s xv

@@ -23,23 +23,32 @@ of _CHUNK shots:
 - stream layout: chunk k of ceil(N/_CHUNK) (the last one short, n_k
   shots) draws from Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))),
   which is child k of SeedSequence(seed).spawn() built only when the chunk
-  runs, one uniform array u of shape (2, R, n_k) with R = ceil(rows / 2)
-  and rows = len(live_ports) + live angles. Box-Muller turns it in place
-  into the 2R rows r cos(2 pi u[1]) over r sin(2 pi u[1]), with
+  runs, one float32 uniform array u of shape (2, R, n_k), by
+  random(dtype=np.float32), with R = ceil(rows / 2) and rows =
+  len(live_ports) + live angles. Box-Muller turns it in place into the 2R
+  rows r cos(2 pi u[1]) over r sin(2 pi u[1]), with
   r = sqrt(-2 log(1 - u[0])) (_box_muller); the first rows of them are
   the live ports (network.live_ports) in port order, then the lock angles
   whose rms is > 0, in the order (theta_e, theta_ax, theta_ap, theta_b),
   scaled by their rms, and when rows is odd the last row is dropped. Dead
   ports and dead angles are the scalar 0.0. The draws are most of a
-  chunk's time: a uniform from SFC64 costs about a fifth of a ziggurat
-  normal (standard_normal), and the transform's whole-array log, tan and
-  arithmetic cost less than the difference. A Gaussian cell draws at most
-  136 variates, where the generator's speed does not show, so it keeps
-  default_rng(seed) and with it the estimates of earlier versions;
+  chunk's time, so a chunk runs in float32 throughout: the uniforms, the
+  transform, network.push and the chunk's moments. float32 halves the
+  bytes of every pass and doubles the SIMD lanes of every ufunc. numpy's
+  float32 cos and sin are vectorized under AVX2 and AVX-512 alike, and its
+  tan only under AVX-512, so the transform and network.push take cos and
+  sin straight from numpy. The uniforms are
+  multiples of 2**-24, so r is at most sqrt(48 log 2) = 5.77 and each
+  normal has variance 1 - 5.5e-7 (a shift of 3.9e-4 SE at N = 1e6), well
+  below what the grid resolves. A Gaussian cell draws at most 136
+  variates, where the generator's speed does not show, so it keeps
+  default_rng(seed), float64, and with it the estimates of earlier
+  versions;
 - each chunk returns its centred moments (n, mean, M2) of the four
-  outputs, and the chunks merge in chunk order (Chan, Golub and LeVeque
-  1979), so the estimate depends on the seed and N alone, never on how
-  many cores run the chunks;
+  outputs, each a pairwise float32 sum over the chunk (within about 1e-6
+  relative) handed on in float64, and the chunks merge in float64 in
+  chunk order (Chan, Golub and LeVeque 1979), so the estimate depends on
+  the seed and N alone, never on how many cores run the chunks;
 - the chunks run on a thread pool (numpy's draws and ufuncs release the
   GIL) of W workers, one per usable CPU, capped so that at most _IN_FLIGHT
   shots are drawn at once whatever the core count. Each worker allocates
@@ -81,6 +90,8 @@ _IN_FLIGHT = 1 << 17
 # strictly-lower entries of a full-rank Bartlett factor, the only shape a
 # cell of 17 or more shots draws
 _FULL_RANK_BELOW = np.tril_indices(PORTS, -1, PORTS)
+# the jitter whose every rms is 0, which ChainConfig drops
+_STILL_LOCK = PhaseJitter()
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,7 @@ class ChainConfig:
                              f"got {self.samples!r}")
         # a lock that never moves is the locked chain: it takes the Gaussian
         # path, which draws the Bartlett factor and has exact references
-        if self.jitter == PhaseJitter():
+        if self.jitter == _STILL_LOCK:
             object.__setattr__(self, "jitter", None)
 
 
@@ -195,29 +206,25 @@ def _box_muller(u, scratch):
     """Turn the uniforms u, shape (2, R, n) on [0, 1), into 2R rows of
     standard normals in place (Box and Muller 1958): u[0] becomes
     r cos(phi) and u[1] r sin(phi), with r = sqrt(-2 log(1 - u[0])) and
-    phi = 2 pi u[1]. Generator.random draws multiples of 2**-53, so 1 - u[0]
-    is exact and r is at most sqrt(106 log 2). (cos phi, sin phi) come from
-    t = tan(phi / 2), as in network._cos_sin. scratch is a flat buffer of at
-    least R floats; u is transformed over column segments whose (R, width)
-    temporary fills it, each in one pass per ufunc."""
+    phi = 2 pi u[1], in u's dtype. On a lattice of multiples of 2**-b, as
+    Generator.random draws them (b = 24 in float32, 53 in float64), 1 - u[0]
+    is exact and r is at most sqrt(2 b log 2). scratch is a flat buffer of
+    at least R elements of u's dtype; u is transformed over column segments
+    whose (R, width) cosine fills it, each in one pass per ufunc."""
     pairs, n = u.shape[1:]
     width = scratch.size // pairs
     for start in range(0, n, width):
         u0, u1 = u[:, :, start:start + width]
-        d = scratch[:u0.size].reshape(u0.shape)
+        cos = scratch[:u0.size].reshape(u0.shape)
         np.subtract(1.0, u0, out=u0)
         np.log(u0, out=u0)
         u0 *= -2.0
         np.sqrt(u0, out=u0)             # r
-        u1 *= math.pi
-        np.tan(u1, out=u1)              # t
-        np.multiply(u1, u1, out=d)
-        d += 1.0                        # 1 + t^2
-        u0 /= d                         # r / (1 + t^2)
-        u1 += u1
-        u1 *= u0                        # r 2t / (1 + t^2) = r sin(phi)
-        np.subtract(2.0, d, out=d)      # 1 - t^2, to the rounding of 1 + t^2
-        u0 *= d                         # r cos(phi)
+        u1 *= 2.0 * math.pi             # phi
+        np.cos(u1, out=cos)
+        np.sin(u1, out=u1)
+        u1 *= u0                        # r sin(phi)
+        u0 *= cos                       # r cos(phi)
 
 
 def _jittered_variances(config: ChainConfig) -> np.ndarray:
@@ -241,13 +248,15 @@ def _jittered_variances(config: ChainConfig) -> np.ndarray:
         # docstring lays out, in the one buffer pair of the pool thread
         # that runs it
         if not hasattr(owned, "buffers"):
-            owned.buffers = np.empty(2 * pairs * _CHUNK), np.empty(4 * _CHUNK)
+            owned.buffers = (np.empty(2 * pairs * _CHUNK, np.float32),
+                             np.empty(4 * _CHUNK, np.float32))
         uniform_buffer, output_buffer = owned.buffers
         n = min(_CHUNK, config.samples - k * _CHUNK)
         uniforms = uniform_buffer[:2 * pairs * n].reshape(2, pairs, n)
         outputs = output_buffer[:4 * n].reshape(4, n)
         stream = np.random.SeedSequence(config.seed, spawn_key=(k,))
-        np.random.Generator(np.random.SFC64(stream)).random(out=uniforms)
+        np.random.Generator(np.random.SFC64(stream)).random(out=uniforms,
+                                                            dtype=np.float32)
         # the outputs are not written before the push, so they are the
         # transform's scratch
         _box_muller(uniforms, output_buffer)
@@ -260,10 +269,12 @@ def _jittered_variances(config: ChainConfig) -> np.ndarray:
             row *= rms[a]
             angles[a] = row
         push(z, config.squeezing, config.budget, config.gains, angles, outputs)
+        # pairwise float32 sums within the chunk, merged across chunks in
+        # float64
         mean = outputs.mean(axis=1)
         outputs -= mean[:, None]
         np.multiply(outputs, outputs, out=outputs)
-        return n, mean, outputs.sum(axis=1)
+        return n, mean.astype(np.float64), outputs.sum(axis=1).astype(np.float64)
 
     def in_chunk_order(pool):
         # chunks are submitted at most 2 * workers ahead of the merge, so a
