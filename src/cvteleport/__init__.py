@@ -7,8 +7,8 @@ from .epr import SqueezingParams
 from .jitter import PhaseJitter, victor_lo_scan, victor_variance_jitter
 from .opo import BliiraTable, DetectionChain, OpoParams, back_propagate_to_epr, \
     double_pump_debit, parametric_gain, squeezing_vs_pump, threshold
-from .oracle import ChainConfig, closed_form_reference, simulate_chain
-from .scenarios import RunOptions, list_presets, run_preset
+from .oracle import ChainConfig, simulate_chain
+from .scenarios import RunOptions, closed_form_reference, list_presets, run_preset
 from .teleporter import CoherentAmplitude, EfficiencyBudget, GainSettings, \
     SpectralDensities, alice_variance, bob_field_variance, fidelity, \
     spectral_densities, squeezing_from_victor_variance, victor_variance

@@ -4,7 +4,9 @@ Every vacuum port of the optical train is a unit-variance Gaussian
 quadrature pushed through the optical network (see network.py for the port
 order and the conventions). Wigner sampling is exact for this linear chain,
 so the estimates converge on the closed forms in teleporter/jitter and
-serve as their independent oracle.
+serve as their independent oracle: it imports no closed form, only the
+parameter classes of ChainConfig, and the grid's references live in
+scenarios.
 
 At fixed lock angles the outputs of N shots are y = T z, with T the
 transfer matrix, so the sample variances read the N draws z only through
@@ -71,14 +73,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epr import SqueezingParams
-from .jitter import PhaseJitter, victor_variance_jitter
+from .jitter import PhaseJitter
 from .network import PORTS, live_ports, push, seed_gains, transfer_matrix
-from .teleporter import (
-    EfficiencyBudget,
-    GainSettings,
-    alice_variance,
-    victor_variance,
-)
+from .teleporter import EfficiencyBudget, GainSettings
 
 # shots per chunk of the jitter path, and so the length of one seed stream
 # (see the module docstring); changing it changes every jitter estimate.
@@ -290,27 +287,3 @@ def _jittered_variances(config: ChainConfig) -> np.ndarray:
     with ThreadPoolExecutor(workers) as pool:
         n_tot, _, m2 = functools.reduce(_merge_moments, in_chunk_order(pool))
     return m2 / (n_tot - 1)
-
-
-def closed_form_reference(config: ChainConfig) -> dict:
-    """Closed forms the estimates should converge on, where they exist.
-
-    Without jitter the chain variance and sender variance are exact for any
-    budget and gains. With jitter only the ideal-budget unit-gain output
-    variance has a (quadratic) closed form, which raises beyond
-    SMALL_ANGLE_LIMIT; sender references are omitted there. Missing
-    entries are None.
-    """
-    ref = {"sigma_v_x": None, "sigma_v_p": None, "sigma_a_x": None, "sigma_a_p": None}
-    if config.jitter is None:
-        ref["sigma_v_x"] = victor_variance(config.squeezing, config.budget,
-                                           config.gains, "x")
-        ref["sigma_v_p"] = victor_variance(config.squeezing, config.budget,
-                                           config.gains, "p")
-        ref["sigma_a_x"] = alice_variance(config.squeezing, config.budget, "x")
-        ref["sigma_a_p"] = alice_variance(config.squeezing, config.budget, "p")
-    elif (config.budget == EfficiencyBudget.ideal()
-          and config.gains.g_x == 1.0 and config.gains.g_p == 1.0):
-        ref["sigma_v_x"] = victor_variance_jitter(config.squeezing, config.jitter, "x")
-        ref["sigma_v_p"] = victor_variance_jitter(config.squeezing, config.jitter, "p")
-    return ref

@@ -223,7 +223,7 @@ def squeezing_from_victor_variance(sigma_v: float, budget: EfficiencyBudget,
             f"measured variance {sigma_v!r} implies squeezed variance "
             f"{sigma_minus:.6g}, outside (0, 1]"
         )
-    return SqueezingParams(-0.5 * math.log(sigma_minus), r_plus)
+    return SqueezingParams.from_variances(sigma_minus, sigma_plus)
 
 
 # --- spectral densities with a coherent signal present ---

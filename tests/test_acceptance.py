@@ -157,7 +157,7 @@ def test_criterion_6_oracle_equivalence(capsys):
     elapsed = time.perf_counter() - started
 
     # determinism spot check on two grid configs at reduced samples
-    pair = grid_configs(OracleGridParams(), seed=2026, samples=50_000)[:2]
+    pair = grid_configs(OracleGridParams(samples=50_000), seed=2026)[:2]
     deterministic = all(simulate_chain(cfg) == simulate_chain(cfg)
                         for _, cfg in pair)
 

@@ -336,16 +336,19 @@ def test_dead_feedforward_path_rejected():
             transfer_matrix(SqueezingParams.vacuum(), dead, GainSettings())
 
 
-def test_network_imports_no_closed_form():
+@pytest.mark.parametrize("name", ["network", "oracle"])
+def test_network_imports_no_closed_form(name):
     # the Monte Carlo built on network.py is the closed forms' independent
-    # oracle, so it may take nothing from them beyond parameter types
+    # oracle, so neither it nor network may take anything from them beyond
+    # parameter types
     closed_form = {"teleporter", "jitter"}
-    tree = ast.parse(Path(network.__file__).read_text())
+    owner = importlib.import_module(f"cvteleport.{name}")
+    tree = ast.parse(Path(owner.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
                                             and node.module is None):
             modules = {alias.name.split(".")[-1] for alias in node.names}
-            assert not modules & closed_form, modules
+            assert not modules & closed_form, f"{name} imports {modules}"
         elif isinstance(node, ast.ImportFrom):
             module = node.module.split(".")[-1]
             if module not in closed_form:
@@ -354,4 +357,4 @@ def test_network_imports_no_closed_form():
             for alias in node.names:
                 value = getattr(source, alias.name)
                 assert isinstance(value, type) and dataclasses.is_dataclass(value), \
-                    f"network imports {alias.name} from {module}"
+                    f"{name} imports {alias.name} from {module}"

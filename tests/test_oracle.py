@@ -16,8 +16,9 @@ from cvteleport import oracle
 from cvteleport.cli import main
 from cvteleport.network import PORTS, live_ports, push, transfer_matrix
 from cvteleport.oracle import _CHUNK, ChainConfig, _merge_moments, \
-    _wishart_factor, closed_form_reference, simulate_chain
-from cvteleport.scenarios import OracleGridParams, grid_configs
+    _wishart_factor, simulate_chain
+from cvteleport.scenarios import OracleGridParams, closed_form_reference, \
+    grid_configs
 from cvteleport.teleporter import EfficiencyBudget, GainSettings, \
     alice_variance, victor_variance
 
@@ -358,7 +359,7 @@ def test_jitter_cells_are_calibrated():
     # deviation. A biased draw, transform or moment moves them
     z = []
     for run in range(40):
-        for _, config in grid_configs(OracleGridParams(), seed=1000 * run, samples=_CHUNK):
+        for _, config in grid_configs(OracleGridParams(samples=_CHUNK), seed=1000 * run):
             if config.jitter is None:
                 continue
             est = simulate_chain(config)
