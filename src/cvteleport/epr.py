@@ -72,10 +72,6 @@ class SqueezingParams:
         return to_db(self.sigma_plus)
 
     @classmethod
-    def vacuum(cls):
-        return cls(0.0, 0.0)
-
-    @classmethod
     def from_variances(cls, sigma_minus: float, sigma_plus: float):
         if not 0.0 < sigma_minus <= 1.0:
             raise ValueError(f"squeezed variance must lie in (0, 1], got {sigma_minus!r}")

@@ -7,16 +7,16 @@ fixed angles the chain stays Gaussian; averaging its output variance over
 slow zero-mean Gaussian jitter of the angles gives the quadratic expansion
 used in the noise budget: the static chain's variance
 (teleporter.victor_variance) plus the weight the jitter transfers from the
-squeezed onto the anti-squeezed quadrature. Angles are radians internally;
-use PhaseJitter.from_degrees at the interface.
+squeezed onto the anti-squeezed quadrature. victor_lo_scan sweeps the
+verifier's local oscillator through that average and returns a list of
+floats. Angles are radians internally; use PhaseJitter.from_degrees at the
+interface.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .epr import SqueezingParams
 from .teleporter import EfficiencyBudget, GainSettings, victor_variance
@@ -83,16 +83,14 @@ def victor_variance_jitter(squeezing: SqueezingParams, jitter: PhaseJitter,
     return static + w * (squeezing.sigma_plus - squeezing.sigma_minus)
 
 
-def victor_lo_scan(squeezing: SqueezingParams, jitter: PhaseJitter, theta_v):
-    """Verifier variance at local-oscillator angle theta_v (radians).
+def victor_lo_scan(squeezing: SqueezingParams, jitter: PhaseJitter,
+                   theta_v) -> list:
+    """Verifier variance at each local-oscillator angle of the sequence
+    theta_v (radians), as a list of floats.
 
-    Interpolates between the x and p values as cos^2/sin^2; broadcasts over
-    theta_v arrays. Flat when the two quadratures match (no jitter, or
-    jitter hitting both equally).
+    Interpolates between the x and p values as cos^2/sin^2. Flat when the
+    two quadratures match (no jitter, or jitter hitting both equally).
     """
     sx = victor_variance_jitter(squeezing, jitter, "x")
     sp = victor_variance_jitter(squeezing, jitter, "p")
-    tv = np.asarray(theta_v, dtype=float)
-    out = sx * np.cos(tv) ** 2 + sp * np.sin(tv) ** 2
-    return float(out) if out.ndim == 0 else out
-
+    return [sx * math.cos(t) ** 2 + sp * math.sin(t) ** 2 for t in theta_v]

@@ -159,7 +159,7 @@ def simulate_chain(config: ChainConfig) -> ChainEstimates:
 @functools.lru_cache(maxsize=32)
 def _unsqueezed_transfer(budget: EfficiencyBudget, gains: GainSettings) -> np.ndarray:
     """The locked transfer matrix of the chain with vacuum seeds, read-only."""
-    t = transfer_matrix(SqueezingParams.vacuum(), budget, gains)
+    t = transfer_matrix(SqueezingParams(), budget, gains)
     t.flags.writeable = False
     return t
 

@@ -128,6 +128,11 @@ class ScenarioResult:
     checks: tuple = ()
     notes: tuple = ()
 
+    def __post_init__(self):
+        for i, name in enumerate(self.columns):
+            if name in self.columns[:i]:
+                raise ValueError(f"two columns share the name {name!r}")
+
     @property
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
@@ -185,11 +190,15 @@ def _status(*checks: Check) -> str:
     return "pass" if all(c.passed for c in checks) else "fail"
 
 
+def _nothing_to_grade(name: str) -> ValueError:
+    """An input that leaves a check no point to grade is bad input."""
+    return ValueError(f"check {name!r} has no points to grade; widen the sweep")
+
+
 def _holds_everywhere(name: str, holds: list, source: str) -> Check:
-    """1 when the condition holds at every point. An input that leaves the
-    check no point to grade is bad input, so an empty set raises."""
+    """1 when the condition holds at every point; an empty set raises."""
     if not holds:
-        raise ValueError(f"check {name!r} has no points to grade; widen the sweep")
+        raise _nothing_to_grade(name)
     return Check(name, 1.0 if all(holds) else 0.0, 1.0, 0.0, source)
 
 
@@ -519,13 +528,16 @@ def _run_fig10(p: Fig10Params, opt: RunOptions) -> ScenarioResult:
     minus = [r[1] for r in rows]
     plus = [r[2] for r in rows]
     mid = min(range(len(rows)), key=lambda i: abs(rows[i][0] - 100.0))
+    saturation = "squeezing saturates at high pump (dB change 100 mW to max)"
     checks = [
         Check("high-pump squeezing level (dB)", minus[-1], -5.25, 1.75, "model"),
-        Check("squeezing saturates at high pump (dB change 100 mW to max)",
-              abs(minus[-1] - minus[mid]), 0.0, 0.8, "model"),
+        Check(saturation, abs(minus[-1] - minus[mid]), 0.0, 0.8, "model"),
         _holds_everywhere("anti-squeezing monotone increasing with pump",
                           [b > a for a, b in zip(plus, plus[1:])], "formula"),
     ]
+    # with no pump above the point nearest 100 mW, that point grades itself
+    if max(r[0] for r in rows) <= rows[mid][0]:
+        raise _nothing_to_grade(saturation)
     return ScenarioResult(("pump_mw", "squeezing_db", "antisqueezing_db",
                            "total_loss", "escape"), tuple(rows), tuple(checks))
 
@@ -548,8 +560,8 @@ def _run_fig12(p: Fig12Params, opt: RunOptions) -> ScenarioResult:
                              f"20 log10(gain), got {getattr(p, key)!r}")
     columns = ("gain", "gain_db", "victor_db_vacuum") \
         + tuple(f"victor_db_in{_tag(level)}db" for level in p.input_total_db)
-    sq = SqueezingParams.vacuum()
-    inputs = [CoherentAmplitude.vacuum()] \
+    sq = SqueezingParams()
+    inputs = [CoherentAmplitude()] \
         + [CoherentAmplitude.from_total_db(level) for level in p.input_total_db]
     budget = p.budget.widen()
     rows = []
@@ -588,7 +600,7 @@ class FidelityAnchorsParams:
 def _run_fidelity_anchors(p: FidelityAnchorsParams, opt: RunOptions) -> ScenarioResult:
     ideal = EfficiencyBudget.ideal()
     gains = GainSettings()
-    vac = SqueezingParams.vacuum()
+    vac = SqueezingParams()
     rows = []
     checks = []
 
@@ -623,9 +635,8 @@ def _run_fidelity_anchors(p: FidelityAnchorsParams, opt: RunOptions) -> Scenario
 
     # strip the verifier chain off the measured trace: infer the squeezing
     # behind it, then re-evaluate at the receiver with calibrated unit gain
-    sigma_plus = from_db(p.trace_antisqueezing_db)
     inferred = squeezing_from_victor_variance(
-        measured, p.trace, r_plus=0.5 * math.log(sigma_plus), gains=gains)
+        measured, p.trace, from_db(p.trace_antisqueezing_db))
     add_case("receiver-corrected",
              bob_field_variance(inferred, p.trace, "x"),
              bob_field_variance(inferred, p.trace, "p"),
@@ -728,7 +739,7 @@ class SpectralRatiosParams:
 def _run_spectral_ratios(p: SpectralRatiosParams, opt: RunOptions) -> ScenarioResult:
     ideal = EfficiencyBudget.ideal()
     gains = GainSettings()
-    vac = SqueezingParams.vacuum()
+    vac = SqueezingParams()
     rows = []
     checks = []
 
@@ -741,7 +752,7 @@ def _run_spectral_ratios(p: SpectralRatiosParams, opt: RunOptions) -> ScenarioRe
     add("verifier re sender, large signal (dB)",
         to_db(big.victor_x / big.alice_x), 3.01, 0.01, "model", "db")
 
-    quiet = spectral_densities(CoherentAmplitude.vacuum(), vac, ideal, gains)
+    quiet = spectral_densities(CoherentAmplitude(), vac, ideal, gains)
     add("verifier re sender, vacuum input (linear)",
         quiet.victor_x / quiet.alice_x, 3.0, 1e-12, "formula", "linear")
 
@@ -828,7 +839,7 @@ def _run_epr_correlations(p: EprCorrelationsParams, opt: RunOptions) -> Scenario
                      v["p_minus"], to_db(single_beam_variance(sq)),
                      correlation_product(sq)))
     witness = [r[6] for r in rows if r[0] > 0.0]
-    vacuum = sum_difference_variances(SqueezingParams.vacuum())
+    vacuum = sum_difference_variances(SqueezingParams())
     checks = [
         Check("vacuum sum/difference variances", vacuum["x_minus"], 2.0, 1e-12,
               "formula"),
@@ -852,7 +863,7 @@ def grid_configs(params: OracleGridParams, seed: int):
     plus 5 jitter configs on the ideal chain."""
     n = params.samples
     squeezings = [
-        ("vacuum", SqueezingParams.vacuum()),
+        ("vacuum", SqueezingParams()),
         ("3db_7db", SqueezingParams.from_db(-3.0, 7.0)),
         ("3p73db_6p9db", SqueezingParams.from_db(-3.73, 6.9)),
     ]

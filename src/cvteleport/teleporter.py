@@ -157,16 +157,12 @@ class CoherentAmplitude:
         return math.sqrt(self.power) * math.sin(self.phase)
 
     @classmethod
-    def vacuum(cls):
-        return cls(0.0, 0.0)
-
-    @classmethod
-    def from_total_db(cls, total_db: float, phase: float = 0.0):
+    def from_total_db(cls, total_db: float):
         """From a measured total spectral density (signal + vacuum floor)."""
         power = from_db(total_db) - 1.0
         if power < 0.0:
             raise ValueError(f"total level {total_db!r} dB sits below the vacuum floor")
-        return cls(power, phase)
+        return cls(power)
 
 
 def fidelity(sigma_x: float, sigma_p: float,
@@ -203,18 +199,16 @@ def bob_field_variance(squeezing: SqueezingParams, budget: EfficiencyBudget,
 
 
 def squeezing_from_victor_variance(sigma_v: float, budget: EfficiencyBudget,
-                                   r_plus: float,
-                                   gains: GainSettings = GainSettings(),
-                                   quad: str = "x") -> SqueezingParams:
-    """Solve the chain variance for the squeezed quadrature.
+                                   sigma_plus: float) -> SqueezingParams:
+    """Solve the unit-gain chain's x variance for the squeezed quadrature.
 
-    The measured output variance pins sigma_minus once the anti-squeezing
-    (r_plus) is assumed; the dependence on r_plus is weak because its
-    coefficient (g xi1 - r_b xi4 xi5 eta_v)^2 / 2 nearly cancels at unit
-    gain. Raises when no physical squeezing reproduces the measurement.
+    The measured output variance pins sigma_minus once the anti-squeezed
+    variance sigma_plus is assumed; the dependence on sigma_plus is weak
+    because its coefficient (xi1 - r_b xi4 xi5 eta_v)^2 / 2 nearly cancels
+    at unit gain. Raises when no physical squeezing reproduces the
+    measurement.
     """
-    base, c_minus, c_plus = _chain_coefficients(budget, gains, quad)
-    sigma_plus = math.exp(2.0 * r_plus)
+    base, c_minus, c_plus = _chain_coefficients(budget, GainSettings(), "x")
     if c_minus == 0.0:
         raise ValueError("chain carries no EPR correlation, cannot infer squeezing")
     sigma_minus = (sigma_v - base - c_plus * sigma_plus) / c_minus

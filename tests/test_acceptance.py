@@ -25,7 +25,7 @@ from cvteleport.units import from_db, to_db
 
 IDEAL = EfficiencyBudget.ideal()
 UNIT = GainSettings()
-VAC = SqueezingParams.vacuum()
+VAC = SqueezingParams()
 
 
 def _report(capsys, num: int, label: str, ok: bool, detail: str = "") -> bool:
@@ -83,8 +83,7 @@ def test_criterion_3_fidelity_chain(capsys):
     measured = from_db(3.54)
     f_measured = fidelity(measured, measured)
 
-    inferred = squeezing_from_victor_variance(
-        measured, BUDGET_TRACE, r_plus=0.5 * math.log(from_db(7.0)), gains=UNIT)
+    inferred = squeezing_from_victor_variance(measured, BUDGET_TRACE, from_db(7.0))
     sw_x = bob_field_variance(inferred, BUDGET_TRACE, "x")
     f_bob = fidelity(sw_x, bob_field_variance(inferred, BUDGET_TRACE, "p"))
 
@@ -129,7 +128,7 @@ def test_criterion_5_phase_jitter_scan(capsys):
 
     def ptp(theta_e_deg):
         jit = PhaseJitter.from_degrees(theta_e=theta_e_deg)
-        levels = [to_db(victor_lo_scan(sq, jit, a)) for a in angles]
+        levels = [to_db(v) for v in victor_lo_scan(sq, jit, angles)]
         return max(levels) - min(levels)
 
     flat = ptp(0.0)

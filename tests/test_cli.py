@@ -172,6 +172,18 @@ NOTHING_TO_GRADE = {
     "fidelity beats the classical bound beyond 10 mW pump",
     ("epr-correlations", "--set", "stop_db=0"):  # no squeezed point
     "witness below the separable bound once squeezed",
+    # the point nearest 100 mW is the last, so it would grade itself
+    ("fig10-squeezing", "--set", "pump_max_mw=50"):
+    "squeezing saturates at high pump (dB change 100 mW to max)",
+    ("fig10-squeezing", "--set", "pump_max_mw=60", "--set", "points=5"):
+    "squeezing saturates at high pump (dB change 100 mW to max)",
+}
+
+# two curves under one header; fig4's tag keeps 6 digits
+REPEATED_COLUMN = {
+    ("fig4", "--set", "squeezing_db=3,3.0000001"): "fidelity_3db",
+    ("fig7", "--set", "theta_e_deg=2,2"): "noise_db_theta_e_2deg",
+    ("fig12-gain-sweep", "--set", "input_total_db=7,7"): "victor_db_in7db",
 }
 
 
@@ -208,15 +220,18 @@ NOTHING_TO_GRADE = {
     # the gain_db column is 20 log10(g)
     ["fig12-gain-sweep", "--set", "gain_min=0"],
     ["fig12-gain-sweep", "--set", "gain_max=0"],
-] + [list(args) for args in NOTHING_TO_GRADE])
+] + [list(args) for args in {**NOTHING_TO_GRADE, **REPEATED_COLUMN}])
 def test_bad_input_returns_two(args, capsys):
     code, out, err = run_cli(["run"] + args, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
     check = NOTHING_TO_GRADE.get(tuple(args))
+    column = REPEATED_COLUMN.get(tuple(args))
     if check is not None:
         assert f"check {check!r} has no points to grade" in err
+    elif column is not None:
+        assert f"two columns share the name {column!r}" in err
     elif args[0] == "fig12-gain-sweep":
         assert args[-1].partition("=")[0] in err
 

@@ -49,7 +49,7 @@ def test_squeezing_constructors():
     pure = SqueezingParams(0.5, 0.5)
     assert pure.sigma_minus * pure.sigma_plus == pytest.approx(1.0, rel=1e-14)
 
-    vac = SqueezingParams.vacuum()
+    vac = SqueezingParams()
     assert vac.sigma_minus == vac.sigma_plus == 1.0
 
 
@@ -129,7 +129,7 @@ def test_seed_columns_are_the_network_epr_stage(r, excess):
 
 
 def test_witness_at_vacuum_boundary():
-    assert correlation_product(SqueezingParams.vacuum()) == \
+    assert correlation_product(SqueezingParams()) == \
         pytest.approx(4.0, abs=1e-12)
 
 

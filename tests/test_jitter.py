@@ -156,9 +156,9 @@ def test_lo_scan_endpoints_and_modulation():
     jit = PhaseJitter.from_degrees(theta_e=6.0)
     sigma_x = victor_variance_jitter(SQ, jit, "x")
     sigma_p = victor_variance_jitter(SQ, jit, "p")
-    assert victor_lo_scan(SQ, jit, 0.0) == pytest.approx(sigma_x, rel=1e-14)
-    assert victor_lo_scan(SQ, jit, math.pi / 2.0) == pytest.approx(sigma_p,
-                                                                   rel=1e-14)
+    at_x, at_p = victor_lo_scan(SQ, jit, [0.0, math.pi / 2.0])
+    assert at_x == pytest.approx(sigma_x, rel=1e-14)
+    assert at_p == pytest.approx(sigma_p, rel=1e-14)
     assert sigma_x == pytest.approx(2.101304861790095, rel=1e-12)
     assert sigma_p == pytest.approx(2.0023744672545445, rel=1e-12)
     assert to_db(sigma_x) - to_db(sigma_p) == pytest.approx(
@@ -166,9 +166,21 @@ def test_lo_scan_endpoints_and_modulation():
 
     angles = np.linspace(0.0, 2.0 * math.pi, 361)
     scan = victor_lo_scan(SQ, jit, angles)
-    assert scan.shape == angles.shape
-    assert scan.min() >= min(sigma_x, sigma_p) - 1e-12
-    assert scan.max() <= max(sigma_x, sigma_p) + 1e-12
+    assert len(scan) == len(angles)
+    assert min(scan) >= min(sigma_x, sigma_p) - 1e-12
+    assert max(scan) <= max(sigma_x, sigma_p) + 1e-12
+
+
+@pytest.mark.parametrize("container", [list, tuple, lambda a: (t for t in a)],
+                         ids=["list", "tuple", "generator"])
+def test_lo_scan_returns_a_list_of_floats(container):
+    jit = PhaseJitter.from_degrees(theta_e=6.0)
+    angles = [0.0, 0.5, math.pi]
+    scan = victor_lo_scan(SQ, jit, container(angles))
+    assert type(scan) is list
+    assert [type(v) for v in scan] == [float] * len(angles)
+    assert scan == victor_lo_scan(SQ, jit, angles)
+    assert victor_lo_scan(SQ, jit, container([])) == []
 
 
 def test_static_coefficients_match_chain():

@@ -123,7 +123,7 @@ def test_squeezing_scales_only_the_seed_columns(r_minus, excess, budget, g_x, g_
     squeezing = SqueezingParams(r_minus, r_minus + excess)
     gains = GainSettings(g_x, g_p)
     t = transfer_matrix(squeezing, budget, gains, angles)
-    vacuum = transfer_matrix(SqueezingParams.vacuum(), budget, gains, angles)
+    vacuum = transfer_matrix(SqueezingParams(), budget, gains, angles)
     scale = np.array([*seed_gains(squeezing)] + [1.0] * (PORTS - 4))
     assert np.all(np.abs(t - vacuum * scale) <= 1e-13 * np.abs(t).max())
 
@@ -177,7 +177,7 @@ def test_zero_angle_rotation_is_exact():
     # only as an array
     z = np.ones((PORTS, 3))
     with pytest.raises(ValueError, match="array or the scalar 0.0"):
-        push(z, SqueezingParams.vacuum(), EfficiencyBudget(), GainSettings(),
+        push(z, SqueezingParams(), EfficiencyBudget(), GainSettings(),
              (0.0, 0.3, 0.0, 0.0), np.empty((4, 3)))
     assert np.all(z == 1.0)
 
@@ -333,7 +333,7 @@ def test_dead_feedforward_path_rejected():
     # displacement no finite gain
     for dead in (EfficiencyBudget(alpha_v=0.0), EfficiencyBudget(xi3=0.0)):
         with pytest.raises(ValueError, match="feedforward"):
-            transfer_matrix(SqueezingParams.vacuum(), dead, GainSettings())
+            transfer_matrix(SqueezingParams(), dead, GainSettings())
 
 
 @pytest.mark.parametrize("name", ["network", "oracle"])

@@ -108,7 +108,7 @@ def test_squeezing_vs_pump_reference_points():
     assert at107.minus_db == pytest.approx(-6.317277985161006, rel=1e-12)
     assert at107.plus_db == pytest.approx(13.380087066657394, rel=1e-12)
 
-    assert squeezing_vs_pump(opo, chain, 0.0) == SqueezingParams.vacuum()
+    assert squeezing_vs_pump(opo, chain, 0.0) == SqueezingParams()
     with pytest.raises(ValueError):
         squeezing_vs_pump(opo, chain, 0.2)  # past the high-pump threshold
     with pytest.raises(ValueError, match="pump must be >= 0"):

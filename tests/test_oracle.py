@@ -41,7 +41,7 @@ def test_classical_anchor():
 def test_as_built_classical_point():
     config = ChainConfig(budget=AS_BUILT, samples=300_000, seed=11)
     est = simulate_chain(config)
-    predicted = victor_variance(SqueezingParams.vacuum(), AS_BUILT,
+    predicted = victor_variance(SqueezingParams(), AS_BUILT,
                                 GainSettings(), "x")
     assert abs(est.sigma_v_x.value - predicted) < 4.0 * est.sigma_v_x.stderr
 
@@ -427,7 +427,7 @@ def test_cached_transfer_matrix_is_keyed_on_every_field():
         other = oracle._unsqueezed_transfer(changed, gains)
         assert not np.array_equal(other, base), name
         np.testing.assert_array_equal(
-            other, transfer_matrix(SqueezingParams.vacuum(), changed, gains))
+            other, transfer_matrix(SqueezingParams(), changed, gains))
 
 
 @pytest.mark.parametrize("samples", [5, 1000])

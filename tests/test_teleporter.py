@@ -18,7 +18,7 @@ from cvteleport.units import from_db, to_db
 
 IDEAL = EfficiencyBudget.ideal()
 UNIT = GainSettings()
-VAC = SqueezingParams.vacuum()
+VAC = SqueezingParams()
 
 AS_BUILT = EfficiencyBudget(xi1=0.986, xi2=0.995, xi3=0.995, xi4=0.988,
                             xi5=0.985, alpha_ax=0.988, alpha_ap=0.988,
@@ -103,7 +103,7 @@ def test_coherent_amplitude():
 
     probe = CoherentAmplitude.from_total_db(24.9)
     assert probe.power == pytest.approx(from_db(24.9) - 1.0, rel=1e-14)
-    assert CoherentAmplitude.vacuum().power == 0.0
+    assert CoherentAmplitude().power == 0.0
     with pytest.raises(ValueError):
         CoherentAmplitude.from_total_db(-0.1)  # below the vacuum floor
     with pytest.raises(ValueError):
@@ -167,19 +167,26 @@ def test_bob_field_strips_verifier_chain():
 def test_squeezing_inference_roundtrip():
     sq = SqueezingParams.from_db(-3.5, 7.0)
     sigma = victor_variance(sq, AS_BUILT, UNIT, "x")
-    inferred = squeezing_from_victor_variance(sigma, AS_BUILT,
-                                              r_plus=sq.r_plus, gains=UNIT)
+    inferred = squeezing_from_victor_variance(sigma, AS_BUILT, sq.sigma_plus)
     assert inferred.sigma_minus == pytest.approx(sq.sigma_minus, rel=1e-12)
     with pytest.raises(ValueError):
-        squeezing_from_victor_variance(1.0, AS_BUILT, r_plus=sq.r_plus,
-                                       gains=UNIT)
+        squeezing_from_victor_variance(1.0, AS_BUILT, sq.sigma_plus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1.0, max_value=math.exp(6.0)))
+def test_squeezing_inference_keeps_the_assumed_antisqueezing(sigma_plus):
+    # the assumed anti-squeezed variance reaches r_plus by one log, bit for
+    # bit; at 3 vacuum units the ideal chain infers sigma_minus = 1 exactly
+    inferred = squeezing_from_victor_variance(3.0, IDEAL, sigma_plus)
+    assert inferred.r_minus == 0.0
+    assert inferred.r_plus == 0.5 * math.log(sigma_plus)
 
 
 def test_receiver_corrected_anchor():
     measured = from_db(3.54)
     trace = replace(AS_BUILT, xi2=0.990, xi3=0.990, xi4=0.980, xi5=0.975)
-    inferred = squeezing_from_victor_variance(
-        measured, trace, r_plus=0.5 * math.log(from_db(7.0)), gains=UNIT)
+    inferred = squeezing_from_victor_variance(measured, trace, from_db(7.0))
     assert inferred.sigma_minus == pytest.approx(0.5658933158122249, rel=1e-12)
     corrected = bob_field_variance(inferred, trace, "x")
     assert to_db(corrected) == pytest.approx(3.4847501170845954, rel=1e-12)
@@ -188,7 +195,7 @@ def test_receiver_corrected_anchor():
 
 
 def test_spectral_density_ratios():
-    quiet = spectral_densities(CoherentAmplitude.vacuum(), VAC, IDEAL, UNIT)
+    quiet = spectral_densities(CoherentAmplitude(), VAC, IDEAL, UNIT)
     assert quiet.victor_x / quiet.alice_x == pytest.approx(3.0, rel=1e-14)
     assert quiet.alice_x == 1.0
 
