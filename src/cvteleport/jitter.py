@@ -5,12 +5,12 @@ at the entangling beamsplitter (theta_e), the sender's two homodyne locks
 (theta_ax, theta_ap) and the receiver's displacement phase (theta_b). At
 fixed angles the chain stays Gaussian; averaging its output variance over
 slow zero-mean Gaussian jitter of the angles gives the quadratic expansion
-used in the noise budget: the static chain's variance
-(teleporter.victor_variance) plus the weight the jitter transfers from the
-squeezed onto the anti-squeezed quadrature. victor_lo_scan sweeps the
-verifier's local oscillator through that average and returns a list of
-floats. Angles are radians internally; use PhaseJitter.from_degrees at the
-interface.
+used in the noise budget: victor_variance_jitter returns, for x and then
+p, the static chain's variance (teleporter.victor_variance) plus the
+weight the jitter transfers from the squeezed onto the anti-squeezed
+quadrature. victor_lo_scan sweeps the verifier's local oscillator through
+that average and returns a list of floats. Angles are radians internally;
+use PhaseJitter.from_degrees at the interface.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .epr import SqueezingParams
-from .teleporter import EfficiencyBudget, GainSettings, victor_variance
+from .teleporter import EfficiencyBudget, victor_variance
 
 # quadratic expansion error grows as theta^4 past roughly this rms, radians
 SMALL_ANGLE_LIMIT = 0.2
@@ -51,36 +51,34 @@ class PhaseJitter:
                    math.radians(theta_ap), math.radians(theta_b))
 
 
-def _jitter_weight(jitter: PhaseJitter, quad: str) -> float:
-    # quadratic weight transferred from the squeezed to the anti-squeezed
-    # term; the entangling-beamsplitter phase only disturbs x (beam 2's
-    # squeezed quadrature feeds the x correlation) and carries 4x the weight
-    # of the receiver phase
-    if quad == "x":
-        return (0.5 * jitter.theta_ax_rms ** 2 + 0.5 * jitter.theta_b_rms ** 2
-                + 2.0 * jitter.theta_e_rms ** 2)
-    if quad == "p":
-        return 0.5 * jitter.theta_ap_rms ** 2 + 0.5 * jitter.theta_b_rms ** 2
-    raise ValueError(f"quad must be 'x' or 'p', got {quad!r}")
+def _jitter_weight(jitter: PhaseJitter) -> tuple[float, float]:
+    # quadratic weights (w_x, w_p) transferred from the squeezed to the
+    # anti-squeezed term; the entangling-beamsplitter phase only disturbs x
+    # (beam 2's squeezed quadrature feeds the x correlation) and carries 4x
+    # the weight of the receiver phase
+    return ((0.5 * jitter.theta_ax_rms ** 2 + 0.5 * jitter.theta_b_rms ** 2
+             + 2.0 * jitter.theta_e_rms ** 2),
+            0.5 * jitter.theta_ap_rms ** 2 + 0.5 * jitter.theta_b_rms ** 2)
 
 
-def victor_variance_jitter(squeezing: SqueezingParams, jitter: PhaseJitter,
-                           quad: str = "x") -> float:
-    """Jitter-averaged output variance, ideal chain at unit gain.
+def victor_variance_jitter(squeezing: SqueezingParams,
+                           jitter: PhaseJitter) -> tuple[float, float]:
+    """Jitter-averaged output variances (sigma_x, sigma_p), ideal chain at
+    unit gain.
 
-    Quadratic in the rms angles: weight w moves from the squeezed term onto
-    the anti-squeezed one, so the static chain's variance rises by
-    w (sigma_plus - sigma_minus). Raises when an rms angle exceeds
-    SMALL_ANGLE_LIMIT, where the law no longer holds.
+    Quadratic in the rms angles: in each quadrature weight w moves from the
+    squeezed term onto the anti-squeezed one, so the static chain's
+    variance rises by w (sigma_plus - sigma_minus). Raises when an rms
+    angle exceeds SMALL_ANGLE_LIMIT, where the law no longer holds.
     """
     for f in fields(jitter):
         value = getattr(jitter, f.name)
         if value > SMALL_ANGLE_LIMIT:
             raise ValueError(f"{f.name} = {value:.3g} rad exceeds the small-angle "
                              f"limit {SMALL_ANGLE_LIMIT} rad of the quadratic law")
-    w = _jitter_weight(jitter, quad)
-    static = victor_variance(squeezing, EfficiencyBudget(), GainSettings(), quad)
-    return static + w * (squeezing.sigma_plus - squeezing.sigma_minus)
+    spread = squeezing.sigma_plus - squeezing.sigma_minus
+    return tuple(static + w * spread for static, w in
+                 zip(victor_variance(squeezing, EfficiencyBudget()), _jitter_weight(jitter)))
 
 
 def victor_lo_scan(squeezing: SqueezingParams, jitter: PhaseJitter,
@@ -91,6 +89,5 @@ def victor_lo_scan(squeezing: SqueezingParams, jitter: PhaseJitter,
     Interpolates between the x and p values as cos^2/sin^2. Flat when the
     two quadratures match (no jitter, or jitter hitting both equally).
     """
-    sx = victor_variance_jitter(squeezing, jitter, "x")
-    sp = victor_variance_jitter(squeezing, jitter, "p")
+    sx, sp = victor_variance_jitter(squeezing, jitter)
     return [sx * math.cos(t) ** 2 + sp * math.sin(t) ** 2 for t in theta_v]

@@ -76,7 +76,8 @@ VacuumXBudget = _budget_group(BUDGET_BEST, "xi2", "alpha_ax")
 GainSweepBudget = _budget_group(BUDGET_GAIN_SWEEP, "xi2", "alpha_ax")
 # the same at both quadratures
 VacuumBudget = _budget_group(BUDGET_BEST, "xi2", "xi3", "alpha_ax", "alpha_ap")
-# the x quadrature at any squeezing: the p arm (xi3, alpha_ap) is never read
+# the x quadrature at any squeezing: the p arm (xi3, alpha_ap) reaches no
+# printed column
 XBudget = _budget_group(BUDGET_BEST, "xi1", "xi2", "xi4", "xi5", "alpha_ax",
                         "alpha_v", "r_b")
 # the field leaving the receiver: bob_field_variance strips the verifier
@@ -302,13 +303,13 @@ def _run_fig2(p: Fig2Params, opt: RunOptions) -> ScenarioResult:
     for i, s_db in enumerate(_linspace(p.start_db, p.stop_db, p.points)):
         sq = pure_squeezing(s_db)
         sigma_minus, sigma_plus = from_db(-s_db), from_db(s_db)
-        v_ideal = victor_variance(sq, ideal, gains, "x")
-        a_ideal = alice_variance(sq, ideal, "x")
+        v_ideal = victor_variance(sq, ideal, gains)[0]
+        a_ideal = alice_variance(sq, ideal)[0]
         victor_ideal.append(_matches(v_ideal, 1.0 + 2.0 * sigma_minus))
         alice_ideal.append(_matches(a_ideal, 1.0 + (sigma_minus + sigma_plus - 2.0) / 4.0))
         row = [s_db, to_db(v_ideal), to_db(a_ideal),
-               to_db(victor_variance(sq, budget, gains, "x")),
-               to_db(alice_variance(sq, budget, "x"))]
+               to_db(victor_variance(sq, budget, gains)[0]),
+               to_db(alice_variance(sq, budget)[0])]
         if p.oracle:
             est = simulate_chain(ChainConfig(squeezing=sq, budget=budget,
                                              gains=gains, samples=p.samples,
@@ -353,10 +354,8 @@ def _run_fig3(p: Fig3Params, opt: RunOptions) -> ScenarioResult:
     rows = []
     for s_db in _linspace(p.start_db, p.stop_db, p.points):
         sq = pure_squeezing(s_db)
-        f_ideal = fidelity(victor_variance(sq, ideal, gains, "x"),
-                           victor_variance(sq, ideal, gains, "p"))
-        f_real = fidelity(victor_variance(sq, p.budget, gains, "x"),
-                          victor_variance(sq, p.budget, gains, "p"))
+        f_ideal = fidelity(*victor_variance(sq, ideal, gains))
+        f_real = fidelity(*victor_variance(sq, p.budget, gains))
         rows.append((s_db, f_ideal, f_real))
     # both ideal outputs are 1 + 2 sigma_minus; 1/2 at 0 dB, the classical bound
     checks = (_holds_everywhere(
@@ -390,8 +389,7 @@ def _run_fig4(p: Fig4Params, opt: RunOptions) -> ScenarioResult:
         row = [v]
         for s_db in p.squeezing_db:
             sq = pure_squeezing(s_db)
-            row.append(fidelity(victor_variance(sq, budget, gains, "x"),
-                                victor_variance(sq, budget, gains, "p")))
+            row.append(fidelity(*victor_variance(sq, budget, gains)))
         rows.append(tuple(row))
     checks = [_holds_everywhere("fidelity bounded by 1",
                                 [f <= 1.0 for row in rows for f in row[1:]],
@@ -449,10 +447,9 @@ def _run_fig7(p: Fig7Params, opt: RunOptions) -> ScenarioResult:
     # w (sigma_plus - sigma_minus); at vacuum those are 0 up to rounding
     spread = sq.sigma_plus - sq.sigma_minus
     curvature = lock_curvatures(sq, EfficiencyBudget.ideal(), GainSettings())
-    deviation = max(abs(curvature[k, row]
-                        - spread * _jitter_weight(PhaseJitter(**{lock.name: 1.0}), quad))
+    deviation = max(abs(curvature[k, row] - spread * w)
                     for k, lock in enumerate(fields(PhaseJitter))
-                    for row, quad in ((2, "x"), (3, "p")))
+                    for row, w in zip((2, 3), _jitter_weight(PhaseJitter(**{lock.name: 1.0}))))
     checks.append(Check("jitter law weights vs network curvatures (max deviation)",
                         float(deviation), 0.0, 1e-12 * max(spread, 1.0), "formula"))
     return ScenarioResult(columns, rows, tuple(checks))
@@ -535,8 +532,10 @@ def _run_fig10(p: Fig10Params, opt: RunOptions) -> ScenarioResult:
         _holds_everywhere("anti-squeezing monotone increasing with pump",
                           [b > a for a, b in zip(plus, plus[1:])], "formula"),
     ]
-    # with no pump above the point nearest 100 mW, that point grades itself
-    if max(r[0] for r in rows) <= rows[mid][0]:
+    # the saturation check grades the last pump against the point nearest
+    # 100 mW; unless the last pump lies above it (a short or descending
+    # sweep), there is nothing to grade
+    if rows[-1][0] <= rows[mid][0]:
         raise _nothing_to_grade(saturation)
     return ScenarioResult(("pump_mw", "squeezing_db", "antisqueezing_db",
                            "total_loss", "escape"), tuple(rows), tuple(checks))
@@ -617,16 +616,11 @@ def _run_fidelity_anchors(p: FidelityAnchorsParams, opt: RunOptions) -> Scenario
         return sigma_db, fid
 
     # classical bound of the unit-gain chain: exactly 3 vacuum units
-    sv = victor_variance(vac, ideal, gains, "x")
-    checks.append(Check("classical-ideal: variance (vacuum units)", sv, 3.0,
-                        0.0, "formula"))
-    add_case("classical-ideal", sv, victor_variance(vac, ideal, gains, "p"),
-             4.77, 0.01, 0.500, 0.001, "formula")
+    sx, sp = victor_variance(vac, ideal, gains)
+    checks.append(Check("classical-ideal: variance (vacuum units)", sx, 3.0, 0.0, "formula"))
+    add_case("classical-ideal", sx, sp, 4.77, 0.01, 0.500, 0.001, "formula")
 
-    as_built = p.as_built.widen()
-    add_case("classical-as-built",
-             victor_variance(vac, as_built, gains, "x"),
-             victor_variance(vac, as_built, gains, "p"),
+    add_case("classical-as-built", *victor_variance(vac, p.as_built.widen(), gains),
              4.84, 0.02, 0.494, 0.002, "model")
 
     measured = from_db(p.measured_victor_db)
@@ -637,16 +631,11 @@ def _run_fidelity_anchors(p: FidelityAnchorsParams, opt: RunOptions) -> Scenario
     # behind it, then re-evaluate at the receiver with calibrated unit gain
     inferred = squeezing_from_victor_variance(
         measured, p.trace, from_db(p.trace_antisqueezing_db))
-    add_case("receiver-corrected",
-             bob_field_variance(inferred, p.trace, "x"),
-             bob_field_variance(inferred, p.trace, "p"),
+    add_case("receiver-corrected", *bob_field_variance(inferred, p.trace),
              3.47, 0.03, 0.62, 0.005, "experiment")
 
     predicted_sq = SqueezingParams.from_db(p.predicted_minus_db, p.predicted_plus_db)
-    predicted = p.predicted.widen()
-    add_case("predicted-entanglement",
-             bob_field_variance(predicted_sq, predicted, "x"),
-             bob_field_variance(predicted_sq, predicted, "p"),
+    add_case("predicted-entanglement", *bob_field_variance(predicted_sq, p.predicted.widen()),
              2.82, 0.05, 0.69, 0.005, "experiment")
 
     columns = ("case", "sigma_db", "sigma_ref_db", "sigma_tol_db",
@@ -769,7 +758,7 @@ def _run_spectral_ratios(p: SpectralRatiosParams, opt: RunOptions) -> ScenarioRe
         on.victor_x, 354.1, 0.05, "experiment", "linear")
 
     add("verifier vacuum-input level, as-built chain (dB)",
-        to_db(victor_variance(vac, p.budget.widen(), gains, "x")), 4.8, 0.06,
+        to_db(victor_variance(vac, p.budget.widen(), gains)[0]), 4.8, 0.06,
         "experiment", "db")
 
     columns = ("case", "value", "reference", "tolerance", "unit", "status")
@@ -804,8 +793,7 @@ def _run_fig16(p: Fig16Params, opt: RunOptions) -> ScenarioResult:
         detected = squeezing_vs_pump(opo, chain, pump * 1e-3)
         derated = double_pump_debit(detected, p.double_pump_debit_db)
         at_epr = back_propagate_to_epr(derated, chain, p.xi_epr)
-        sw_x = bob_field_variance(at_epr, budget, "x")
-        sw_p = bob_field_variance(at_epr, budget, "p")
+        sw_x, sw_p = bob_field_variance(at_epr, budget)
         rows.append((pump, detected.minus_db, detected.plus_db,
                      at_epr.minus_db, at_epr.plus_db, to_db(sw_x),
                      fidelity(sw_x, sw_p)))
@@ -909,18 +897,13 @@ def closed_form_reference(config: ChainConfig) -> dict:
     SMALL_ANGLE_LIMIT; sender references are omitted there. Missing
     entries are None.
     """
-    ref = {"sigma_v_x": None, "sigma_v_p": None, "sigma_a_x": None, "sigma_a_p": None}
+    victor = alice = (None, None)
     if config.jitter is None:
-        ref["sigma_v_x"] = victor_variance(config.squeezing, config.budget,
-                                           config.gains, "x")
-        ref["sigma_v_p"] = victor_variance(config.squeezing, config.budget,
-                                           config.gains, "p")
-        ref["sigma_a_x"] = alice_variance(config.squeezing, config.budget, "x")
-        ref["sigma_a_p"] = alice_variance(config.squeezing, config.budget, "p")
+        victor = victor_variance(config.squeezing, config.budget, config.gains)
+        alice = alice_variance(config.squeezing, config.budget)
     elif config.budget == EfficiencyBudget() and config.gains == GainSettings():
-        ref["sigma_v_x"] = victor_variance_jitter(config.squeezing, config.jitter, "x")
-        ref["sigma_v_p"] = victor_variance_jitter(config.squeezing, config.jitter, "p")
-    return ref
+        victor = victor_variance_jitter(config.squeezing, config.jitter)
+    return dict(zip(("sigma_v_x", "sigma_v_p", "sigma_a_x", "sigma_a_p"), victor + alice))
 
 
 def _run_oracle_grid(p: OracleGridParams, opt: RunOptions) -> ScenarioResult:

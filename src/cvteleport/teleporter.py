@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .epr import SqueezingParams
+from .network import feedforward_transmissions
 from .units import check_unit_interval, from_db, to_db
 
 
@@ -34,6 +35,9 @@ class EfficiencyBudget:
         displacement beam's transmission (0.1 on the 99/1 splitter) and any
         extra receiver loss enter only through it. The ideal chain takes
         r_b = 1 (displacement limit).
+
+    Refuses a dead feedforward path, xi2, xi3, xi5, alpha_ax, alpha_ap or
+    alpha_v at 0: no finite gain then reaches the verifier.
     """
 
     xi1: float = 1.0
@@ -49,6 +53,7 @@ class EfficiencyBudget:
     def __post_init__(self):
         for f in fields(self):
             check_unit_interval(f.name, getattr(self, f.name))
+        feedforward_transmissions(self)
 
     @property
     def eta_ax(self) -> float:
@@ -83,53 +88,67 @@ class GainSettings:
             raise ValueError("normalized gains must be >= 0")
 
 
-def _sender_arm(budget: EfficiencyBudget, quad: str):
-    if quad == "x":
-        return budget.xi2, budget.eta_ax
-    if quad == "p":
-        return budget.xi3, budget.eta_ap
-    raise ValueError(f"quad must be 'x' or 'p', got {quad!r}")
+def _sender_arms(budget: EfficiencyBudget):
+    """(xi, eta) of the sender's x arm, then of its p arm."""
+    return (budget.xi2, budget.eta_ax), (budget.xi3, budget.eta_ap)
 
 
-def _chain_coefficients(budget: EfficiencyBudget, gains: GainSettings, quad: str):
-    """(base, c_minus, c_plus) of the verifier variance
-    base + c_minus * sigma_minus + c_plus * sigma_plus."""
-    g = gains.g_x if quad == "x" else gains.g_p
-    xi_a, eta_a = _sender_arm(budget, quad)
-    if xi_a == 0.0 or eta_a == 0.0:
-        raise ValueError(f"sender {quad} arm has zero efficiency, variance diverges")
-    epr = budget.r_b * budget.xi4 * budget.xi5 * budget.eta_v
-    sig = g * budget.xi1
+def _arm_coefficients(epr: float, xi1: float, g: float, arm):
+    """(base, c_minus, c_plus) of one quadrature at gain g through arm (xi, eta)."""
+    xi_a, eta_a = arm
+    sig = g * xi1
     base = (1.0 - epr * epr - sig * sig
             + 2.0 * g * g / (xi_a * xi_a * eta_a * eta_a))
     return base, 0.5 * (sig + epr) ** 2, 0.5 * (sig - epr) ** 2
 
 
+def _chain_coefficients(budget: EfficiencyBudget, gains: GainSettings):
+    """(base, c_minus, c_plus) of the verifier variance
+    base + c_minus * sigma_minus + c_plus * sigma_plus, for x and then p."""
+    epr = budget.r_b * budget.xi4 * budget.xi5 * budget.eta_v
+    arm_x, arm_p = _sender_arms(budget)
+    return (_arm_coefficients(epr, budget.xi1, gains.g_x, arm_x),
+            _arm_coefficients(epr, budget.xi1, gains.g_p, arm_p))
+
+
+def _chain_variance(coefficients, sigma_minus: float, sigma_plus: float) -> float:
+    base, c_minus, c_plus = coefficients
+    return base + c_minus * sigma_minus + c_plus * sigma_plus
+
+
 def victor_variance(squeezing: SqueezingParams, budget: EfficiencyBudget,
-                    gains: GainSettings = GainSettings(), quad: str = "x") -> float:
-    """Verifier quadrature variance of the teleported output.
+                    gains: GainSettings = GainSettings()) -> tuple[float, float]:
+    """Verifier variances (sigma_x, sigma_p) of the teleported output.
 
     Exact for the Gaussian chain at fixed lock angles. The surviving EPR
     correlation suppresses the squeezed-quadrature term with weight
     (g xi1 + r_b xi4 xi5 eta_v)^2 / 2 while the anti-squeezed quadrature
-    leaks with weight (g xi1 - r_b xi4 xi5 eta_v)^2 / 2; at unit gain on the
-    ideal chain the leak cancels and the classical bound is 3 vacuum units.
+    leaks with weight (g xi1 - r_b xi4 xi5 eta_v)^2 / 2; at unit gain on
+    the ideal chain the leak cancels and the classical bound is 3 vacuum units.
     """
-    base, c_minus, c_plus = _chain_coefficients(budget, gains, quad)
-    return base + c_minus * squeezing.sigma_minus + c_plus * squeezing.sigma_plus
+    sigma_minus, sigma_plus = squeezing.sigma_minus, squeezing.sigma_plus
+    c_x, c_p = _chain_coefficients(budget, gains)
+    return (_chain_variance(c_x, sigma_minus, sigma_plus),
+            _chain_variance(c_p, sigma_minus, sigma_plus))
 
 
-def alice_variance(squeezing: SqueezingParams, budget: EfficiencyBudget,
-                   quad: str = "x") -> float:
-    """Sender homodyne variance: shot noise plus half the EPR beam's excess.
+def _alice_arm(excess: float, xi1: float, arm) -> float:
+    xi_a, eta_a = arm
+    return 1.0 + 0.25 * excess * (xi1 * xi_a * eta_a) ** 2
+
+
+def alice_variance(squeezing: SqueezingParams,
+                   budget: EfficiencyBudget) -> tuple[float, float]:
+    """Sender homodyne variances (x arm, p arm): shot noise plus half the
+    EPR beam's excess.
 
     Shot-noise limited without squeezing for any efficiencies; rises with
     squeezing because the EPR beam mixed into the measurement is itself
     noisy, (sigma_minus + sigma_plus)/2 >= 1.
     """
-    xi_a, eta_a = _sender_arm(budget, quad)
     excess = squeezing.sigma_minus + squeezing.sigma_plus - 2.0
-    return 1.0 + 0.25 * excess * (budget.xi1 * xi_a * eta_a) ** 2
+    arm_x, arm_p = _sender_arms(budget)
+    return _alice_arm(excess, budget.xi1, arm_x), _alice_arm(excess, budget.xi1, arm_p)
 
 
 @dataclass(frozen=True)
@@ -189,13 +208,12 @@ def fidelity(sigma_x: float, sigma_p: float,
 
 # --- receiver-field reconstruction (what left Bob, before the verifier) ---
 
-def bob_field_variance(squeezing: SqueezingParams, budget: EfficiencyBudget,
-                       quad: str = "x") -> float:
-    """Variance of the field leaving the receiver, referred to a perfect
-    verifier: xi5 and alpha_v are stripped and the normalized gain
-    recalibrated to unity on the stripped chain."""
-    stripped = replace(budget, xi5=1.0, alpha_v=1.0)
-    return victor_variance(squeezing, stripped, GainSettings(), quad)
+def bob_field_variance(squeezing: SqueezingParams,
+                       budget: EfficiencyBudget) -> tuple[float, float]:
+    """Variances (sigma_x, sigma_p) of the field leaving the receiver,
+    referred to a perfect verifier: xi5 and alpha_v are stripped and the
+    normalized gains recalibrated to unity on the stripped chain."""
+    return victor_variance(squeezing, replace(budget, xi5=1.0, alpha_v=1.0))
 
 
 def squeezing_from_victor_variance(sigma_v: float, budget: EfficiencyBudget,
@@ -208,7 +226,7 @@ def squeezing_from_victor_variance(sigma_v: float, budget: EfficiencyBudget,
     at unit gain. Raises when no physical squeezing reproduces the
     measurement.
     """
-    base, c_minus, c_plus = _chain_coefficients(budget, GainSettings(), "x")
+    base, c_minus, c_plus = _chain_coefficients(budget, GainSettings())[0]
     if c_minus == 0.0:
         raise ValueError("chain carries no EPR correlation, cannot infer squeezing")
     sigma_minus = (sigma_v - base - c_plus * sigma_plus) / c_minus
@@ -240,11 +258,11 @@ def spectral_densities(beta_in: CoherentAmplitude, squeezing: SqueezingParams,
     the verifier sees the full teleported signal scaled by the normalized
     gain squared, sitting on the chain variance.
     """
-    xi_a, eta_a = _sender_arm(budget, "x")
+    xi_a, eta_a = _sender_arms(budget)[0]
     p = beta_in.power
     return SpectralDensities(
-        alice_x=0.5 * (xi_a * eta_a) ** 2 * p + alice_variance(squeezing, budget, "x"),
-        victor_x=gains.g_x ** 2 * p + victor_variance(squeezing, budget, gains, "x"),
+        alice_x=0.5 * (xi_a * eta_a) ** 2 * p + alice_variance(squeezing, budget)[0],
+        victor_x=gains.g_x ** 2 * p + victor_variance(squeezing, budget, gains)[0],
     )
 
 

@@ -40,7 +40,7 @@ def _report(capsys, num: int, label: str, ok: bool, detail: str = "") -> bool:
 
 def test_criterion_1_classical_anchor(tmp_path, capsys):
     started = time.perf_counter()
-    sigma = victor_variance(VAC, IDEAL, UNIT, "x")
+    sigma = victor_variance(VAC, IDEAL, UNIT)[0]
     exact = sigma == 3.0
 
     out = tmp_path / "anchors.csv"
@@ -65,8 +65,7 @@ def test_criterion_2_nonideal_classical_point(capsys):
     budget = EfficiencyBudget(xi1=0.986, xi2=0.995, xi3=0.995, xi4=0.988,
                               xi5=0.985, alpha_ax=0.988, alpha_ap=0.988,
                               alpha_v=0.988)
-    sigma_x = victor_variance(VAC, budget, UNIT, "x")
-    sigma_p = victor_variance(VAC, budget, UNIT, "p")
+    sigma_x, sigma_p = victor_variance(VAC, budget, UNIT)
     level = to_db(sigma_x)
     value = fidelity(sigma_x, sigma_p)
     elapsed = time.perf_counter() - started
@@ -84,12 +83,12 @@ def test_criterion_3_fidelity_chain(capsys):
     f_measured = fidelity(measured, measured)
 
     inferred = squeezing_from_victor_variance(measured, BUDGET_TRACE, from_db(7.0))
-    sw_x = bob_field_variance(inferred, BUDGET_TRACE, "x")
-    f_bob = fidelity(sw_x, bob_field_variance(inferred, BUDGET_TRACE, "p"))
+    sw_x, sw_p = bob_field_variance(inferred, BUDGET_TRACE)
+    f_bob = fidelity(sw_x, sw_p)
 
     predicted = SqueezingParams.from_db(-3.97, 7.0)
-    pw_x = bob_field_variance(predicted, BUDGET_PREDICTED, "x")
-    f_pred = fidelity(pw_x, bob_field_variance(predicted, BUDGET_PREDICTED, "p"))
+    pw_x, pw_p = bob_field_variance(predicted, BUDGET_PREDICTED)
+    f_pred = fidelity(pw_x, pw_p)
     elapsed = time.perf_counter() - started
 
     ok = _report(capsys, 3, "fidelity chain",
@@ -134,9 +133,9 @@ def test_criterion_5_phase_jitter_scan(capsys):
     flat = ptp(0.0)
     swing = ptp(6.0)
     h = 1e-3
-    base = victor_variance_jitter(sq, PhaseJitter(), "x")
-    ratio = (victor_variance_jitter(sq, PhaseJitter(theta_e_rms=h), "x") - base) \
-        / (victor_variance_jitter(sq, PhaseJitter(theta_b_rms=h), "x") - base)
+    base = victor_variance_jitter(sq, PhaseJitter())[0]
+    ratio = (victor_variance_jitter(sq, PhaseJitter(theta_e_rms=h))[0] - base) \
+        / (victor_variance_jitter(sq, PhaseJitter(theta_b_rms=h))[0] - base)
     elapsed = time.perf_counter() - started
 
     ok = _report(capsys, 5, "phase jitter scan",

@@ -177,6 +177,9 @@ NOTHING_TO_GRADE = {
     "squeezing saturates at high pump (dB change 100 mW to max)",
     ("fig10-squeezing", "--set", "pump_max_mw=60", "--set", "points=5"):
     "squeezing saturates at high pump (dB change 100 mW to max)",
+    # a descending sweep ends on its lowest pump
+    ("fig10-squeezing", "--set", "pump_min_mw=155", "--set", "pump_max_mw=2.5"):
+    "squeezing saturates at high pump (dB change 100 mW to max)",
 }
 
 # two curves under one header; fig4's tag keeps 6 digits
@@ -185,6 +188,15 @@ REPEATED_COLUMN = {
     ("fig7", "--set", "theta_e_deg=2,2"): "noise_db_theta_e_2deg",
     ("fig12-gain-sweep", "--set", "input_total_db=7,7"): "victor_db_in7db",
 }
+
+# budgets with no feedforward path to the verifier, refused as they are built
+DEAD_FEEDFORWARD = [
+    ("fig2", "--set", "budget.alpha_v=0", "--set", "points=3"),
+    ("fig2", "--set", "budget.alpha_v=0", "--set", "points=3", "--oracle",
+     "--samples", "1000"),
+    ("fig3", "--set", "budget.xi5=0", "--set", "points=3"),
+    ("fidelity-anchors", "--set", "trace.alpha_v=0"),
+]
 
 
 @pytest.mark.parametrize("args", [
@@ -220,7 +232,7 @@ REPEATED_COLUMN = {
     # the gain_db column is 20 log10(g)
     ["fig12-gain-sweep", "--set", "gain_min=0"],
     ["fig12-gain-sweep", "--set", "gain_max=0"],
-] + [list(args) for args in {**NOTHING_TO_GRADE, **REPEATED_COLUMN}])
+] + [list(args) for args in [*NOTHING_TO_GRADE, *REPEATED_COLUMN, *DEAD_FEEDFORWARD]])
 def test_bad_input_returns_two(args, capsys):
     code, out, err = run_cli(["run"] + args, capsys)
     assert code == 2
@@ -232,6 +244,8 @@ def test_bad_input_returns_two(args, capsys):
         assert f"check {check!r} has no points to grade" in err
     elif column is not None:
         assert f"two columns share the name {column!r}" in err
+    elif tuple(args) in DEAD_FEEDFORWARD:
+        assert "zero efficiency in the feedforward path" in err
     elif args[0] == "fig12-gain-sweep":
         assert args[-1].partition("=")[0] in err
 

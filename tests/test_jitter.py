@@ -40,33 +40,32 @@ def test_jitter_validation_and_degrees():
     assert jit.theta_b_rms == pytest.approx(math.radians(3.0), rel=1e-14)
     wide = PhaseJitter(theta_ax_rms=0.5)  # a valid jitter for the Monte Carlo
     with pytest.raises(ValueError, match="small-angle"):
-        victor_variance_jitter(SQ, wide, "p")  # but beyond the quadratic law
+        victor_variance_jitter(SQ, wide)  # but beyond the quadratic law
 
 
 def test_zero_jitter_matches_static_chain():
-    base = victor_variance_jitter(SQ, PhaseJitter(), "x")
+    base, base_p = victor_variance_jitter(SQ, PhaseJitter())
     assert base == pytest.approx(1.0 + 2.0 * SQ.sigma_minus, rel=1e-14)
-    assert victor_variance_jitter(SQ, PhaseJitter(), "p") == pytest.approx(
-        base, rel=1e-14)
+    assert base_p == pytest.approx(base, rel=1e-14)
 
 
 def test_jitter_weights_by_lock_point():
     h = 1e-3
-    base = victor_variance_jitter(SQ, PhaseJitter(), "x")
+    base = victor_variance_jitter(SQ, PhaseJitter())[0]
     spread = SQ.sigma_plus - SQ.sigma_minus
 
     # a sender-arm wobble moves half its mean square angle of weight
-    d_ax = victor_variance_jitter(SQ, PhaseJitter(theta_ax_rms=h), "x") - base
+    d_ax = victor_variance_jitter(SQ, PhaseJitter(theta_ax_rms=h))[0] - base
     assert d_ax == pytest.approx(0.5 * h * h * spread, rel=1e-9)
 
     # the EPR lock leaves the conjugate quadrature untouched
-    base_p = victor_variance_jitter(SQ, PhaseJitter(), "p")
-    assert victor_variance_jitter(SQ, PhaseJitter(theta_e_rms=h), "p") == \
+    base_p = victor_variance_jitter(SQ, PhaseJitter())[1]
+    assert victor_variance_jitter(SQ, PhaseJitter(theta_e_rms=h))[1] == \
         pytest.approx(base_p, rel=1e-14)
     # sender arms act on their own quadrature only
-    assert victor_variance_jitter(SQ, PhaseJitter(theta_ax_rms=h), "p") == \
+    assert victor_variance_jitter(SQ, PhaseJitter(theta_ax_rms=h))[1] == \
         pytest.approx(base_p, rel=1e-14)
-    assert victor_variance_jitter(SQ, PhaseJitter(theta_ap_rms=h), "p") > base_p
+    assert victor_variance_jitter(SQ, PhaseJitter(theta_ap_rms=h))[1] > base_p
 
 
 def test_epr_lock_weighs_four_times_the_receiver_lock():
@@ -74,9 +73,9 @@ def test_epr_lock_weighs_four_times_the_receiver_lock():
     # the static chain, so at h = 1e-3 the ratio of the two small
     # differences is 4 to their rounding
     h = 1e-3
-    base = victor_variance_jitter(SQ, PhaseJitter(), "x")
-    d_e = victor_variance_jitter(SQ, PhaseJitter(theta_e_rms=h), "x") - base
-    d_b = victor_variance_jitter(SQ, PhaseJitter(theta_b_rms=h), "x") - base
+    base = victor_variance_jitter(SQ, PhaseJitter())[0]
+    d_e = victor_variance_jitter(SQ, PhaseJitter(theta_e_rms=h))[0] - base
+    d_b = victor_variance_jitter(SQ, PhaseJitter(theta_b_rms=h))[0] - base
     assert d_e / d_b == pytest.approx(4.0, abs=3e-10)
 
 
@@ -92,10 +91,9 @@ def test_the_laws_weights_are_the_networks_curvatures(r_minus, excess):
     curvature = lock_curvatures(sq, EfficiencyBudget.ideal(), GainSettings())
     for k, lock in enumerate(fields(PhaseJitter)):
         unit = PhaseJitter(**{lock.name: 1.0})
-        for row, quad in ((2, "x"), (3, "p")):
-            weight = _jitter_weight(unit, quad)
+        for row, weight in zip((2, 3), _jitter_weight(unit)):
             assert abs(curvature[k, row] - weight * spread) <= 1e-12 * spread, \
-                (lock.name, quad)
+                (lock.name, row)
 
 
 def _three_node_rule(sigma):
@@ -154,8 +152,7 @@ def test_jitter_averaged_cross_term_vanishes():
 
 def test_lo_scan_endpoints_and_modulation():
     jit = PhaseJitter.from_degrees(theta_e=6.0)
-    sigma_x = victor_variance_jitter(SQ, jit, "x")
-    sigma_p = victor_variance_jitter(SQ, jit, "p")
+    sigma_x, sigma_p = victor_variance_jitter(SQ, jit)
     at_x, at_p = victor_lo_scan(SQ, jit, [0.0, math.pi / 2.0])
     assert at_x == pytest.approx(sigma_x, rel=1e-14)
     assert at_p == pytest.approx(sigma_p, rel=1e-14)
@@ -202,6 +199,6 @@ def test_quadratic_law_matches_gaussian_angle_average():
     angles, weights = _product_rule(jit)
     assert len(weights) == 81
     t = transfer_matrix(SQ, EfficiencyBudget.ideal(), GainSettings(), angles)
-    for row, quad in ((2, "x"), (3, "p")):
+    for row, law in zip((2, 3), victor_variance_jitter(SQ, jit)):
         exact = float(weights @ (t[:, row, :] * t[:, row, :]).sum(axis=-1))
-        assert victor_variance_jitter(SQ, jit, quad) == pytest.approx(exact, rel=2e-4)
+        assert law == pytest.approx(exact, rel=2e-4)

@@ -42,7 +42,7 @@ def test_as_built_classical_point():
     config = ChainConfig(budget=AS_BUILT, samples=300_000, seed=11)
     est = simulate_chain(config)
     predicted = victor_variance(SqueezingParams(), AS_BUILT,
-                                GainSettings(), "x")
+                                GainSettings())[0]
     assert abs(est.sigma_v_x.value - predicted) < 4.0 * est.sigma_v_x.stderr
 
 
@@ -51,10 +51,10 @@ def test_squeezed_chain_both_stations():
     config = ChainConfig(squeezing=sq, budget=AS_BUILT, samples=300_000, seed=5)
     est = simulate_chain(config)
     for key, predicted in (
-        ("sigma_v_x", victor_variance(sq, AS_BUILT, GainSettings(), "x")),
-        ("sigma_v_p", victor_variance(sq, AS_BUILT, GainSettings(), "p")),
-        ("sigma_a_x", alice_variance(sq, AS_BUILT, "x")),
-        ("sigma_a_p", alice_variance(sq, AS_BUILT, "p")),
+        ("sigma_v_x", victor_variance(sq, AS_BUILT, GainSettings())[0]),
+        ("sigma_v_p", victor_variance(sq, AS_BUILT, GainSettings())[1]),
+        ("sigma_a_x", alice_variance(sq, AS_BUILT)[0]),
+        ("sigma_a_p", alice_variance(sq, AS_BUILT)[1]),
     ):
         estimate = getattr(est, key)
         assert abs(estimate.value - predicted) < 4.0 * estimate.stderr, key
@@ -84,7 +84,7 @@ def test_jitter_chain_matches_quadratic_law():
     jit = PhaseJitter.from_degrees(theta_e=6.0)
     config = ChainConfig(squeezing=sq, jitter=jit, samples=300_000, seed=13)
     est = simulate_chain(config)
-    predicted = victor_variance_jitter(sq, jit, "x")
+    predicted = victor_variance_jitter(sq, jit)[0]
     assert abs(est.sigma_v_x.value - predicted) < 3.5 * est.sigma_v_x.stderr
 
 
@@ -468,14 +468,14 @@ def test_closed_form_reference_selection():
     plain = ChainConfig(squeezing=sq, budget=AS_BUILT)
     ref = closed_form_reference(plain)
     assert ref["sigma_v_x"] == pytest.approx(
-        victor_variance(sq, AS_BUILT, GainSettings(), "x"), rel=1e-14)
-    assert ref["sigma_a_p"] == pytest.approx(alice_variance(sq, AS_BUILT, "p"),
+        victor_variance(sq, AS_BUILT, GainSettings())[0], rel=1e-14)
+    assert ref["sigma_a_p"] == pytest.approx(alice_variance(sq, AS_BUILT)[1],
                                              rel=1e-14)
 
     jit = PhaseJitter.from_degrees(theta_e=4.0)
     jittered = ChainConfig(squeezing=sq, jitter=jit)
     ref = closed_form_reference(jittered)
-    assert ref["sigma_v_x"] == pytest.approx(victor_variance_jitter(sq, jit, "x"),
+    assert ref["sigma_v_x"] == pytest.approx(victor_variance_jitter(sq, jit)[0],
                                              rel=1e-14)
     assert ref["sigma_a_x"] is None
 

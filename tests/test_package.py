@@ -1,12 +1,15 @@
 """Public surface of the package."""
 
 import ast
+import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import cvteleport
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -47,3 +50,12 @@ def test_every_definition_has_a_caller():
             if used[name] == _names_used(node)[name]:
                 uncalled.append(f"{module}:{node.lineno} {name}")
     assert uncalled == []
+
+
+def test_readme_python_blocks_run():
+    # the README's code is a reader's first call into the library: each
+    # fenced python block runs as written, in a fresh namespace
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "__readme__"})

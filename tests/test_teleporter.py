@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cvteleport.epr import SqueezingParams
+from cvteleport.jitter import PhaseJitter, victor_variance_jitter
 from cvteleport.network import transfer_matrix
 from cvteleport.scenarios import BUDGET_BEST
 from cvteleport.teleporter import CoherentAmplitude, EfficiencyBudget, \
@@ -26,33 +27,32 @@ AS_BUILT = EfficiencyBudget(xi1=0.986, xi2=0.995, xi3=0.995, xi4=0.988,
 
 
 def test_classical_bound_is_exactly_three():
-    assert victor_variance(VAC, IDEAL, UNIT, "x") == 3.0
-    assert victor_variance(VAC, IDEAL, UNIT, "p") == 3.0
+    assert victor_variance(VAC, IDEAL, UNIT) == (3.0, 3.0)
 
 
 def test_victor_variance_with_squeezing():
     sq = SqueezingParams.from_db(-3.0, 7.0)
     # ideal unit-gain chain: 1 + 2 sigma_minus in both quadratures
     expected = 1.0 + 2.0 * sq.sigma_minus
-    assert victor_variance(sq, IDEAL, UNIT, "x") == pytest.approx(expected,
+    assert victor_variance(sq, IDEAL, UNIT)[0] == pytest.approx(expected,
                                                                   rel=1e-14)
-    assert victor_variance(sq, IDEAL, UNIT, "p") == pytest.approx(expected,
+    assert victor_variance(sq, IDEAL, UNIT)[1] == pytest.approx(expected,
                                                                   rel=1e-14)
 
 
 def test_as_built_classical_point():
-    sigma = victor_variance(VAC, AS_BUILT, UNIT, "x")
+    sigma, sigma_p = victor_variance(VAC, AS_BUILT, UNIT)
     assert sigma == pytest.approx(3.0446872533276514, rel=1e-12)
     assert to_db(sigma) == pytest.approx(4.835426890445448, rel=1e-12)
-    assert fidelity(sigma, victor_variance(VAC, AS_BUILT, UNIT, "p")) == \
+    assert fidelity(sigma, sigma_p) == \
         pytest.approx(0.4944758085695147, rel=1e-12)
 
 
 def test_classical_point_insensitive_to_receiver_splitter():
     # with vacuum EPR beams the receiver tap ratio drops out entirely
     alt = replace(AS_BUILT, r_b=1.0)
-    assert victor_variance(VAC, alt, UNIT, "x") == pytest.approx(
-        victor_variance(VAC, AS_BUILT, UNIT, "x"), rel=1e-14)
+    assert victor_variance(VAC, alt, UNIT)[0] == pytest.approx(
+        victor_variance(VAC, AS_BUILT, UNIT)[0], rel=1e-14)
 
 
 def test_budget_validation():
@@ -69,9 +69,7 @@ def test_every_budget_field_moves_a_station_variance():
     sq = SqueezingParams.from_db(-3.0, 7.0)
 
     def stations(budget):
-        return (alice_variance(sq, budget, "x"), alice_variance(sq, budget, "p"),
-                victor_variance(sq, budget, UNIT, "x"),
-                victor_variance(sq, budget, UNIT, "p"))
+        return alice_variance(sq, budget) + victor_variance(sq, budget, UNIT)
 
     base = stations(BUDGET_BEST)
     for f in fields(EfficiencyBudget):
@@ -79,20 +77,39 @@ def test_every_budget_field_moves_a_station_variance():
         assert stations(scaled) != base, f.name
 
 
-def test_zero_sender_arm_rejected():
-    dead = replace(AS_BUILT, xi2=0.0)
-    with pytest.raises(ValueError):
-        victor_variance(VAC, dead, UNIT, "x")
+@pytest.mark.parametrize("name", ["xi2", "xi3", "xi5", "alpha_ax", "alpha_ap", "alpha_v"])
+def test_zero_sender_arm_rejected(name):
+    # a dead sender arm or verifier diverges the variance; the budget that
+    # holds one cannot be built
+    with pytest.raises(ValueError, match="feedforward"):
+        replace(AS_BUILT, **{name: 0.0})
+
+
+def test_closed_forms_return_x_then_p():
+    # each closed form returns a pair of floats, x first: moving only the
+    # sender's p arm, or only its p lock, leaves the first entry alone
+    sq = SqueezingParams.from_db(-3.0, 7.0)
+    p_arm = replace(AS_BUILT, xi3=0.9)
+    pairs = [(victor_variance(sq, AS_BUILT), victor_variance(sq, p_arm)),
+             (alice_variance(sq, AS_BUILT), alice_variance(sq, p_arm)),
+             (bob_field_variance(sq, AS_BUILT), bob_field_variance(sq, p_arm)),
+             (victor_variance_jitter(sq, PhaseJitter()),
+              victor_variance_jitter(sq, PhaseJitter(theta_ap_rms=0.05)))]
+    for before, after in pairs:
+        for pair in (before, after):
+            assert type(pair) is tuple and len(pair) == 2
+            assert all(type(value) is float for value in pair)
+        assert after[0] == before[0] and after[1] != before[1]
 
 
 def test_alice_variance():
-    assert alice_variance(VAC, IDEAL, "x") == 1.0
+    assert alice_variance(VAC, IDEAL)[0] == 1.0
     sq = SqueezingParams.from_db(-3.0, 7.0)
     expected = 1.0 + 0.25 * (sq.sigma_minus + sq.sigma_plus - 2.0)
-    assert alice_variance(sq, IDEAL, "x") == pytest.approx(expected, rel=1e-14)
+    assert alice_variance(sq, IDEAL)[0] == pytest.approx(expected, rel=1e-14)
     # losses pull the excess back toward the vacuum level
-    assert alice_variance(sq, AS_BUILT, "x") < expected
-    assert alice_variance(sq, AS_BUILT, "x") > 1.0
+    assert alice_variance(sq, AS_BUILT)[0] < expected
+    assert alice_variance(sq, AS_BUILT)[0] > 1.0
 
 
 def test_coherent_amplitude():
@@ -153,20 +170,19 @@ def test_victor_variance_never_sub_vacuum(r, excess, xi, alpha, tap, gain):
                               alpha_ax=alpha, alpha_ap=alpha, alpha_v=alpha,
                               r_b=tap)
     gains = GainSettings(g_x=gain, g_p=gain)
-    assert victor_variance(sq, budget, gains, "x") >= 1.0 - 1e-9
-    assert victor_variance(sq, budget, gains, "p") >= 1.0 - 1e-9
+    assert min(victor_variance(sq, budget, gains)) >= 1.0 - 1e-9
 
 
 def test_bob_field_strips_verifier_chain():
     sq = SqueezingParams.from_db(-3.0, 7.0)
     stripped = replace(AS_BUILT, xi5=1.0, alpha_v=1.0)
-    assert bob_field_variance(sq, AS_BUILT, "x") == pytest.approx(
-        victor_variance(sq, stripped, UNIT, "x"), rel=1e-14)
+    assert bob_field_variance(sq, AS_BUILT)[0] == pytest.approx(
+        victor_variance(sq, stripped, UNIT)[0], rel=1e-14)
 
 
 def test_squeezing_inference_roundtrip():
     sq = SqueezingParams.from_db(-3.5, 7.0)
-    sigma = victor_variance(sq, AS_BUILT, UNIT, "x")
+    sigma = victor_variance(sq, AS_BUILT, UNIT)[0]
     inferred = squeezing_from_victor_variance(sigma, AS_BUILT, sq.sigma_plus)
     assert inferred.sigma_minus == pytest.approx(sq.sigma_minus, rel=1e-12)
     with pytest.raises(ValueError):
@@ -188,9 +204,9 @@ def test_receiver_corrected_anchor():
     trace = replace(AS_BUILT, xi2=0.990, xi3=0.990, xi4=0.980, xi5=0.975)
     inferred = squeezing_from_victor_variance(measured, trace, from_db(7.0))
     assert inferred.sigma_minus == pytest.approx(0.5658933158122249, rel=1e-12)
-    corrected = bob_field_variance(inferred, trace, "x")
-    assert to_db(corrected) == pytest.approx(3.4847501170845954, rel=1e-12)
-    assert fidelity(corrected, bob_field_variance(inferred, trace, "p")) == \
+    corrected = bob_field_variance(inferred, trace)
+    assert to_db(corrected[0]) == pytest.approx(3.4847501170845954, rel=1e-12)
+    assert fidelity(*corrected) == \
         pytest.approx(0.6190275746598977, rel=1e-12)
 
 
@@ -231,9 +247,9 @@ def test_spectral_density_signal_terms_are_the_networks(r, excess, effs, g_x, g_
     t = transfer_matrix(sq, budget, gains)
     alice_signal = float(t[0, 4]) ** 2 * power
     victor_signal = float(t[2, 4]) ** 2 * power
-    assert dens.alice_x - alice_variance(sq, budget, "x") == \
+    assert dens.alice_x - alice_variance(sq, budget)[0] == \
         pytest.approx(alice_signal, rel=1e-12)
-    assert dens.victor_x - victor_variance(sq, budget, gains, "x") == \
+    assert dens.victor_x - victor_variance(sq, budget, gains)[0] == \
         pytest.approx(victor_signal, rel=1e-12)
 
 
