@@ -109,12 +109,13 @@ def _seed_columns(squeezing: SqueezingParams) -> list[tuple]:
             for gain, (x1, p1, x2, p2) in zip(seed_gains(squeezing), _vacuum_columns())]
 
 
-def sum_difference_variances(squeezing: SqueezingParams) -> dict:
-    """Variances of x1 -+ x2 and p1 +- p2 for the locked pair.
+def sum_difference_variances(squeezing: SqueezingParams) -> tuple:
+    """Variances of x1 -+ x2 and p1 +- p2 for the locked pair, as
+    (quiet, loud) = ((var(x1 - x2), var(p1 + p2)), (var(x1 + x2), var(p1 - p2))).
 
-    The quiet pair is {x_minus, p_plus} at 2*sigma_minus; the loud pair
-    {x_plus, p_minus} at 2*sigma_plus. Summed over the network's seed
-    coefficients so there is a single source of truth for the signs.
+    The quiet pair sits at 2*sigma_minus, the loud pair at 2*sigma_plus.
+    Summed over the network's seed coefficients so there is a single source
+    of truth for the signs.
     """
     x_minus = x_plus = p_plus = p_minus = 0.0
     for x1, p1, x2, p2 in _seed_columns(squeezing):
@@ -122,8 +123,7 @@ def sum_difference_variances(squeezing: SqueezingParams) -> dict:
         x_plus += (x1 + x2) * (x1 + x2)
         p_plus += (p1 + p2) * (p1 + p2)
         p_minus += (p1 - p2) * (p1 - p2)
-    return {"x_minus": x_minus, "x_plus": x_plus, "p_plus": p_plus,
-            "p_minus": p_minus}
+    return (x_minus, p_plus), (x_plus, p_minus)
 
 
 def single_beam_variance(squeezing: SqueezingParams) -> float:
@@ -138,5 +138,5 @@ def single_beam_variance(squeezing: SqueezingParams) -> float:
 def correlation_product(squeezing: SqueezingParams) -> float:
     """Entanglement witness var(x1 - x2) * var(p1 + p2); < 4 certifies
     inseparability, = 4*sigma_minus**2 for this source."""
-    v = sum_difference_variances(squeezing)
-    return v["x_minus"] * v["p_plus"]
+    (x_minus, p_plus), _ = sum_difference_variances(squeezing)
+    return x_minus * p_plus

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 
 from .epr import SqueezingParams
 from .teleporter import EfficiencyBudget, victor_variance
+from .units import check_finite_non_negative
 
 # quadratic expansion error grows as theta^4 past roughly this rms, radians
 SMALL_ANGLE_LIMIT = 0.2
@@ -36,13 +37,9 @@ class PhaseJitter:
     theta_b_rms: float = 0.0
 
     def __post_init__(self):
+        # a NaN rms would make the oracle skip the lock
         for f in fields(self):
-            value = getattr(self, f.name)
-            # NaN passes a sign test, and the oracle would then skip the lock
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if value < 0.0:
-                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
+            check_finite_non_negative(f.name, getattr(self, f.name))
 
     @classmethod
     def from_degrees(cls, theta_e: float = 0.0, theta_ax: float = 0.0,

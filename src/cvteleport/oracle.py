@@ -120,14 +120,12 @@ class Estimate:
 
 @dataclass(frozen=True)
 class ChainEstimates:
-    """Sample variances of the sender photocurrents and the verifier output,
-    each with the Gaussian standard error s^2*sqrt(2/(N-1))."""
+    """Sample variances of the sender photocurrents, alice = (i_x, i_p), and
+    of the verifier output, victor = (x_out, p_out), each with the Gaussian
+    standard error s^2*sqrt(2/(N-1))."""
 
-    sigma_v_x: Estimate
-    sigma_v_p: Estimate
-    sigma_a_x: Estimate
-    sigma_a_p: Estimate
-    samples: int
+    alice: tuple[Estimate, Estimate]
+    victor: tuple[Estimate, Estimate]
 
 
 def simulate_chain(config: ChainConfig) -> ChainEstimates:
@@ -141,17 +139,8 @@ def simulate_chain(config: ChainConfig) -> ChainEstimates:
     else:
         variances = _jittered_variances(config)
     var_se = variances * math.sqrt(2.0 / (n_tot - 1))
-
-    def var_est(k):
-        return Estimate(float(variances[k]), float(var_se[k]))
-
-    return ChainEstimates(
-        sigma_a_x=var_est(0),
-        sigma_a_p=var_est(1),
-        sigma_v_x=var_est(2),
-        sigma_v_p=var_est(3),
-        samples=n_tot,
-    )
+    i_x, i_p, x_out, p_out = map(Estimate, variances.tolist(), var_se.tolist())
+    return ChainEstimates(alice=(i_x, i_p), victor=(x_out, p_out))
 
 
 # a preset holds a few dozen distinct (budget, gains) at most, so a small
@@ -241,7 +230,7 @@ def _jittered_variances(config: ChainConfig) -> np.ndarray:
     owned = threading.local()
 
     def chunk_moments(k):
-        # moments of (i_x, i_p, x_v, p_v) over chunk k, drawn as the module
+        # moments of (i_x, i_p, x_out, p_out) over chunk k, drawn as the module
         # docstring lays out, in the one buffer pair of the pool thread
         # that runs it
         if not hasattr(owned, "buffers"):

@@ -191,9 +191,9 @@ def _status(*checks: Check) -> str:
     return "pass" if all(c.passed for c in checks) else "fail"
 
 
-def _nothing_to_grade(name: str) -> ValueError:
+def _nothing_to_grade(name: str, remedy: str = "widen the sweep") -> ValueError:
     """An input that leaves a check no point to grade is bad input."""
-    return ValueError(f"check {name!r} has no points to grade; widen the sweep")
+    return ValueError(f"check {name!r} has no points to grade; {remedy}")
 
 
 def _holds_everywhere(name: str, holds: list, source: str) -> Check:
@@ -315,10 +315,9 @@ def _run_fig2(p: Fig2Params, opt: RunOptions) -> ScenarioResult:
                                              gains=gains, samples=p.samples,
                                              seed=opt.seed + i))
             # stderr is linear; delta method keeps the se columns in dB
-            row += [to_db(est.sigma_v_x.value),
-                    10.0 / LN10 * est.sigma_v_x.stderr / est.sigma_v_x.value,
-                    to_db(est.sigma_a_x.value),
-                    10.0 / LN10 * est.sigma_a_x.stderr / est.sigma_a_x.value]
+            for estimate in (est.victor[0], est.alice[0]):
+                row += [to_db(estimate.value),
+                        10.0 / LN10 * estimate.stderr / estimate.value]
         rows.append(tuple(row))
     checks = [
         _holds_everywhere("ideal unit-gain verifier variance 1 + 2 sigma_minus",
@@ -447,9 +446,9 @@ def _run_fig7(p: Fig7Params, opt: RunOptions) -> ScenarioResult:
     # w (sigma_plus - sigma_minus); at vacuum those are 0 up to rounding
     spread = sq.sigma_plus - sq.sigma_minus
     curvature = lock_curvatures(sq, EfficiencyBudget.ideal(), GainSettings())
-    deviation = max(abs(curvature[k, row] - spread * w)
+    deviation = max(abs(c - spread * w)
                     for k, lock in enumerate(fields(PhaseJitter))
-                    for row, w in zip((2, 3), _jitter_weight(PhaseJitter(**{lock.name: 1.0}))))
+                    for c, w in zip(curvature[k, 2:], _jitter_weight(PhaseJitter(**{lock.name: 1.0}))))
     checks.append(Check("jitter law weights vs network curvatures (max deviation)",
                         float(deviation), 0.0, 1e-12 * max(spread, 1.0), "formula"))
     return ScenarioResult(columns, rows, tuple(checks))
@@ -536,7 +535,8 @@ def _run_fig10(p: Fig10Params, opt: RunOptions) -> ScenarioResult:
     # 100 mW; unless the last pump lies above it (a short or descending
     # sweep), there is nothing to grade
     if rows[-1][0] <= rows[mid][0]:
-        raise _nothing_to_grade(saturation)
+        raise _nothing_to_grade(saturation, "the sweep must end above its "
+                                "point nearest 100 mW")
     return ScenarioResult(("pump_mw", "squeezing_db", "antisqueezing_db",
                            "total_loss", "escape"), tuple(rows), tuple(checks))
 
@@ -822,14 +822,13 @@ def _run_epr_correlations(p: EprCorrelationsParams, opt: RunOptions) -> Scenario
     rows = []
     for s_db in _linspace(p.start_db, p.stop_db, p.points):
         sq = pure_squeezing(s_db)
-        v = sum_difference_variances(sq)
-        rows.append((s_db, v["x_minus"], v["x_plus"], v["p_plus"],
-                     v["p_minus"], to_db(single_beam_variance(sq)),
-                     correlation_product(sq)))
+        (x_minus, p_plus), (x_plus, p_minus) = sum_difference_variances(sq)
+        rows.append((s_db, x_minus, x_plus, p_plus, p_minus,
+                     to_db(single_beam_variance(sq)), correlation_product(sq)))
     witness = [r[6] for r in rows if r[0] > 0.0]
-    vacuum = sum_difference_variances(SqueezingParams())
+    (vacuum_x_minus, _), _ = sum_difference_variances(SqueezingParams())
     checks = [
-        Check("vacuum sum/difference variances", vacuum["x_minus"], 2.0, 1e-12,
+        Check("vacuum sum/difference variances", vacuum_x_minus, 2.0, 1e-12,
               "formula"),
         _holds_everywhere("witness below the separable bound once squeezed",
                           [w < 4.0 for w in witness], "formula"),
@@ -888,22 +887,23 @@ def grid_configs(params: OracleGridParams, seed: int):
     return configs
 
 
-def closed_form_reference(config: ChainConfig) -> dict:
-    """Closed forms the estimates should converge on, where they exist.
+def closed_form_reference(config: ChainConfig) -> tuple:
+    """Closed forms the estimates should converge on, where they exist, as
+    (alice, victor), each an (x, p) pair like the estimates'.
 
     Without jitter the chain variance and sender variance are exact for any
     budget and gains. With jitter only the ideal-budget unit-gain output
     variance has a (quadratic) closed form, which raises beyond
-    SMALL_ANGLE_LIMIT; sender references are omitted there. Missing
-    entries are None.
+    SMALL_ANGLE_LIMIT; sender references are omitted there. A pair with no
+    reference is (None, None).
     """
-    victor = alice = (None, None)
+    alice = victor = (None, None)
     if config.jitter is None:
-        victor = victor_variance(config.squeezing, config.budget, config.gains)
         alice = alice_variance(config.squeezing, config.budget)
+        victor = victor_variance(config.squeezing, config.budget, config.gains)
     elif config.budget == EfficiencyBudget() and config.gains == GainSettings():
         victor = victor_variance_jitter(config.squeezing, config.jitter)
-    return dict(zip(("sigma_v_x", "sigma_v_p", "sigma_a_x", "sigma_a_p"), victor + alice))
+    return alice, victor
 
 
 def _run_oracle_grid(p: OracleGridParams, opt: RunOptions) -> ScenarioResult:
@@ -913,17 +913,17 @@ def _run_oracle_grid(p: OracleGridParams, opt: RunOptions) -> ScenarioResult:
     compared = 0
     for label, config in configs:
         est = simulate_chain(config)
-        ref = closed_form_reference(config)
-        for key in ("sigma_v_x", "sigma_v_p", "sigma_a_x", "sigma_a_p"):
-            reference = ref[key]
+        ref_alice, ref_victor = closed_form_reference(config)
+        for observable, estimate, reference in zip(
+                ("sigma_v_x", "sigma_v_p", "sigma_a_x", "sigma_a_p"),
+                est.victor + est.alice, ref_victor + ref_alice):
             if reference is None:
                 continue
-            estimate = getattr(est, key)
             z = (estimate.value - reference) / estimate.stderr
             ok = abs(z) <= 3.0
             compared += 1
             within += ok
-            rows.append((label, key, estimate.value, estimate.stderr,
+            rows.append((label, observable, estimate.value, estimate.stderr,
                          reference, z, 1 if ok else 0))
     checks = [
         _within_3se("cells", within, compared),

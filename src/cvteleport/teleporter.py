@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 from .epr import SqueezingParams
 from .network import feedforward_transmissions
-from .units import check_unit_interval, from_db, to_db
+from .units import check_finite_non_negative, check_unit_interval, from_db, to_db
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ class GainSettings:
     g_p: float = 1.0
 
     def __post_init__(self):
-        if self.g_x < 0.0 or self.g_p < 0.0:
-            raise ValueError("normalized gains must be >= 0")
+        for f in fields(self):
+            check_finite_non_negative(f.name, getattr(self, f.name))
 
 
 def _sender_arms(budget: EfficiencyBudget):
@@ -163,8 +163,9 @@ class CoherentAmplitude:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.power < 0.0:
-            raise ValueError(f"power must be >= 0, got {self.power!r}")
+        check_finite_non_negative("power", self.power)
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase!r}")
         object.__setattr__(self, "phase", self.phase % (2.0 * math.pi))
 
     @property

@@ -20,6 +20,15 @@ def check_unit_interval(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def check_finite_non_negative(name: str, value: float) -> None:
+    """Refuse a negative or non-finite gain, power or rms; NaN would pass a
+    sign test alone."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 def to_db(value: float) -> float:
     """Linear variance (or power) ratio to dB re vacuum."""
     if value <= 0.0:

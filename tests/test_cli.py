@@ -45,7 +45,8 @@ def test_out_file_uses_lf_endings(tmp_path, capsys):
     assert out == ""  # CSV went to the file, not stdout
     raw = target.read_bytes()
     assert b"\r" not in raw
-    rows = list(csv.reader(target.open()))
+    with target.open() as f:
+        rows = list(csv.reader(f))
     assert rows[0][0] == "theta_v_deg"
     assert len(rows) == 182
 
@@ -248,6 +249,16 @@ def test_bad_input_returns_two(args, capsys):
         assert "zero efficiency in the feedforward path" in err
     elif args[0] == "fig12-gain-sweep":
         assert args[-1].partition("=")[0] in err
+
+
+def test_descending_fig10_sweep_names_the_condition(capsys):
+    # the sweep spans the default pumps, so "widen the sweep" would mislead:
+    # it is the last pump that lies below the point nearest 100 mW
+    code, _, err = run_cli(["run", "fig10-squeezing", "--set", "pump_min_mw=155",
+                            "--set", "pump_max_mw=2.5"], capsys)
+    assert code == 2
+    assert "the sweep must end above its point nearest 100 mW" in err
+    assert "widen" not in err
 
 
 @pytest.mark.parametrize("flag", [["--samples", "5"], ["--oracle"]])

@@ -83,13 +83,13 @@ def test_vacuum_seeds_mix_orthogonally():
 
 def test_two_mode_variances_at_reference_squeezing():
     sq = SqueezingParams.from_db(-3.0, 7.0)
-    v = sum_difference_variances(sq)
+    (x_minus, p_plus), (x_plus, p_minus) = sum_difference_variances(sq)
     sm = sq.sigma_minus
     sp = sq.sigma_plus
-    assert v["x_minus"] == pytest.approx(2.0 * sm, rel=1e-12)
-    assert v["p_plus"] == pytest.approx(2.0 * sm, rel=1e-12)
-    assert v["x_plus"] == pytest.approx(2.0 * sp, rel=1e-12)
-    assert v["p_minus"] == pytest.approx(2.0 * sp, rel=1e-12)
+    assert x_minus == pytest.approx(2.0 * sm, rel=1e-12)
+    assert p_plus == pytest.approx(2.0 * sm, rel=1e-12)
+    assert x_plus == pytest.approx(2.0 * sp, rel=1e-12)
+    assert p_minus == pytest.approx(2.0 * sp, rel=1e-12)
     # each beam alone looks thermal at the average of the seed variances
     assert single_beam_variance(sq) == pytest.approx((sm + sp) / 2.0, rel=1e-12)
     assert single_beam_variance(sq) == pytest.approx(2.756529784949997, rel=1e-12)
@@ -102,12 +102,10 @@ def test_variances_equal_the_network_coefficient_sums(r, excess):
     # columns scaled by the squeezers' gains, exactly
     sq = SqueezingParams(r_minus=r, r_plus=r + excess)
     x1, p1, x2, p2 = _epr_matrix(np.eye(4)) * seed_gains(sq)
-    assert sum_difference_variances(sq) == {
-        "x_minus": float(np.sum((x1 - x2) ** 2)),
-        "x_plus": float(np.sum((x1 + x2) ** 2)),
-        "p_plus": float(np.sum((p1 + p2) ** 2)),
-        "p_minus": float(np.sum((p1 - p2) ** 2)),
-    }
+    assert sum_difference_variances(sq) == (
+        (float(np.sum((x1 - x2) ** 2)), float(np.sum((p1 + p2) ** 2))),
+        (float(np.sum((x1 + x2) ** 2)), float(np.sum((p1 - p2) ** 2))),
+    )
     assert single_beam_variance(sq) == float(np.sum(x1 ** 2))
 
 

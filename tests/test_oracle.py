@@ -32,10 +32,10 @@ U32 = 2.0**-24
 def test_classical_anchor():
     config = ChainConfig(samples=400_000, seed=3)
     est = simulate_chain(config)
-    assert abs(est.sigma_v_x.value - 3.0) < 4.0 * est.sigma_v_x.stderr
-    assert abs(est.sigma_v_p.value - 3.0) < 4.0 * est.sigma_v_p.stderr
-    assert abs(est.sigma_a_x.value - 1.0) < 4.0 * est.sigma_a_x.stderr
-    assert est.samples == 400_000
+    (v_x, v_p), (a_x, _) = est.victor, est.alice
+    assert abs(v_x.value - 3.0) < 4.0 * v_x.stderr
+    assert abs(v_p.value - 3.0) < 4.0 * v_p.stderr
+    assert abs(a_x.value - 1.0) < 4.0 * a_x.stderr
 
 
 def test_as_built_classical_point():
@@ -43,21 +43,16 @@ def test_as_built_classical_point():
     est = simulate_chain(config)
     predicted = victor_variance(SqueezingParams(), AS_BUILT,
                                 GainSettings())[0]
-    assert abs(est.sigma_v_x.value - predicted) < 4.0 * est.sigma_v_x.stderr
+    assert abs(est.victor[0].value - predicted) < 4.0 * est.victor[0].stderr
 
 
 def test_squeezed_chain_both_stations():
     sq = SqueezingParams.from_db(-3.0, 7.0)
     config = ChainConfig(squeezing=sq, budget=AS_BUILT, samples=300_000, seed=5)
     est = simulate_chain(config)
-    for key, predicted in (
-        ("sigma_v_x", victor_variance(sq, AS_BUILT, GainSettings())[0]),
-        ("sigma_v_p", victor_variance(sq, AS_BUILT, GainSettings())[1]),
-        ("sigma_a_x", alice_variance(sq, AS_BUILT)[0]),
-        ("sigma_a_p", alice_variance(sq, AS_BUILT)[1]),
-    ):
-        estimate = getattr(est, key)
-        assert abs(estimate.value - predicted) < 4.0 * estimate.stderr, key
+    predictions = victor_variance(sq, AS_BUILT, GainSettings()) + alice_variance(sq, AS_BUILT)
+    for k, (estimate, predicted) in enumerate(zip(est.victor + est.alice, predictions)):
+        assert abs(estimate.value - predicted) < 4.0 * estimate.stderr, k
 
 
 def test_deterministic_under_fixed_seed():
@@ -69,13 +64,13 @@ def test_deterministic_under_fixed_seed():
     shifted = simulate_chain(ChainConfig(
         squeezing=SqueezingParams.from_db(-3.0, 7.0), budget=AS_BUILT,
         samples=50_000, seed=22))
-    assert shifted.sigma_v_x.value != first.sigma_v_x.value
+    assert shifted.victor[0].value != first.victor[0].value
 
 
 def test_stderr_scales_with_samples():
     small = simulate_chain(ChainConfig(samples=10_000, seed=2))
     large = simulate_chain(ChainConfig(samples=1_000_000, seed=2))
-    ratio = small.sigma_v_x.stderr / large.sigma_v_x.stderr
+    ratio = small.victor[0].stderr / large.victor[0].stderr
     assert 8.0 < ratio < 12.5
 
 
@@ -85,7 +80,7 @@ def test_jitter_chain_matches_quadratic_law():
     config = ChainConfig(squeezing=sq, jitter=jit, samples=300_000, seed=13)
     est = simulate_chain(config)
     predicted = victor_variance_jitter(sq, jit)[0]
-    assert abs(est.sigma_v_x.value - predicted) < 3.5 * est.sigma_v_x.stderr
+    assert abs(est.victor[0].value - predicted) < 3.5 * est.victor[0].stderr
 
 
 def _replayed_chunks(config):
@@ -156,8 +151,8 @@ def test_jitter_estimates_replay_from_the_chunk_streams():
     # on every dispatch target tried. 16 U32 = 9.5e-7 leaves 8x room, while
     # a replay of any other draw misses by the estimate's own scatter,
     # sqrt(2 / N) = 5.5e-3 here
-    for k, key in enumerate(("sigma_a_x", "sigma_a_p", "sigma_v_x", "sigma_v_p")):
-        assert getattr(est, key).value == pytest.approx(expected[k], rel=16 * U32), key
+    for k, estimate in enumerate(est.alice + est.victor):
+        assert estimate.value == pytest.approx(expected[k], rel=16 * U32), k
 
 
 @pytest.mark.parametrize("seed", [0, 29, 2**40 + 3])
@@ -326,9 +321,8 @@ def test_lossy_jitter_chain_matches_its_drawn_angles(budget):
                              samples=20_000, seed=17)
         est = simulate_chain(config)
         expected = _drawn_angle_average(config)
-        for k, key in enumerate(("sigma_a_x", "sigma_a_p", "sigma_v_x", "sigma_v_p")):
-            estimate = getattr(est, key)
-            assert abs(estimate.value - expected[k]) < 4.0 * estimate.stderr, (degrees, key)
+        for k, estimate in enumerate(est.alice + est.victor):
+            assert abs(estimate.value - expected[k]) < 4.0 * estimate.stderr, (degrees, k)
 
 
 def test_gaussian_cells_are_calibrated():
@@ -341,8 +335,8 @@ def test_gaussian_cells_are_calibrated():
             if config.jitter is not None:
                 continue
             est = simulate_chain(config)
-            for key, reference in closed_form_reference(config).items():
-                estimate = getattr(est, key)
+            ref_alice, ref_victor = closed_form_reference(config)
+            for estimate, reference in zip(est.alice + est.victor, ref_alice + ref_victor):
                 z.append((estimate.value - reference) / estimate.stderr)
     z = np.array(z)
     assert z.size == 100 * 27 * 4
@@ -363,9 +357,9 @@ def test_jitter_cells_are_calibrated():
             if config.jitter is None:
                 continue
             est = simulate_chain(config)
-            for key, reference in closed_form_reference(config).items():
+            ref_alice, ref_victor = closed_form_reference(config)
+            for estimate, reference in zip(est.alice + est.victor, ref_alice + ref_victor):
                 if reference is not None:
-                    estimate = getattr(est, key)
                     z.append((estimate.value - reference) / estimate.stderr)
     z = np.array(z)
     assert z.size == 40 * 5 * 2
@@ -386,8 +380,8 @@ def test_gaussian_estimates_replay_from_the_bartlett_factor(samples):
     a = _wishart_factor(np.random.default_rng(config.seed), samples - 1)
     expected = np.diag(t @ a @ a.T @ t.T) / (samples - 1)
     est = simulate_chain(config)
-    for k, key in enumerate(("sigma_a_x", "sigma_a_p", "sigma_v_x", "sigma_v_p")):
-        assert getattr(est, key).value == pytest.approx(expected[k], rel=1e-12), key
+    for k, estimate in enumerate(est.alice + est.victor):
+        assert estimate.value == pytest.approx(expected[k], rel=1e-12), k
 
 
 def test_fig2_oracle_pushes_the_network_once(monkeypatch, capsys):
@@ -457,31 +451,30 @@ def test_wishart_factor_rank(samples):
 def test_two_samples_give_finite_positive_estimates(budget):
     est = simulate_chain(ChainConfig(squeezing=SqueezingParams.from_db(-3.0, 7.0),
                                      budget=budget, samples=2, seed=4))
-    for key in ("sigma_v_x", "sigma_v_p", "sigma_a_x", "sigma_a_p"):
-        estimate = getattr(est, key)
-        assert math.isfinite(estimate.value) and estimate.value > 0.0, key
-        assert math.isfinite(estimate.stderr) and estimate.stderr > 0.0, key
+    for k, estimate in enumerate(est.victor + est.alice):
+        assert math.isfinite(estimate.value) and estimate.value > 0.0, k
+        assert math.isfinite(estimate.stderr) and estimate.stderr > 0.0, k
 
 
 def test_closed_form_reference_selection():
     sq = SqueezingParams.from_db(-3.0, 7.0)
     plain = ChainConfig(squeezing=sq, budget=AS_BUILT)
-    ref = closed_form_reference(plain)
-    assert ref["sigma_v_x"] == pytest.approx(
+    alice, victor = closed_form_reference(plain)
+    assert victor[0] == pytest.approx(
         victor_variance(sq, AS_BUILT, GainSettings())[0], rel=1e-14)
-    assert ref["sigma_a_p"] == pytest.approx(alice_variance(sq, AS_BUILT)[1],
-                                             rel=1e-14)
+    assert alice[1] == pytest.approx(alice_variance(sq, AS_BUILT)[1],
+                                     rel=1e-14)
 
     jit = PhaseJitter.from_degrees(theta_e=4.0)
     jittered = ChainConfig(squeezing=sq, jitter=jit)
-    ref = closed_form_reference(jittered)
-    assert ref["sigma_v_x"] == pytest.approx(victor_variance_jitter(sq, jit)[0],
-                                             rel=1e-14)
-    assert ref["sigma_a_x"] is None
+    alice, victor = closed_form_reference(jittered)
+    assert victor[0] == pytest.approx(victor_variance_jitter(sq, jit)[0],
+                                      rel=1e-14)
+    assert alice[0] is None
 
     # no closed form once jitter rides on a lossy chain
     both = ChainConfig(squeezing=sq, budget=AS_BUILT, jitter=jit)
-    assert closed_form_reference(both)["sigma_v_x"] is None
+    assert closed_form_reference(both)[1][0] is None
 
 
 def test_a_still_lock_is_no_lock():
@@ -495,9 +488,9 @@ def test_a_still_lock_is_no_lock():
             locked = ChainConfig(squeezing=sq, budget=budget, seed=seed)
             assert still.jitter is None and still == locked
             assert simulate_chain(still) == simulate_chain(locked)
-            ref = closed_form_reference(still)
-            assert ref == closed_form_reference(locked)
-            assert None not in ref.values()
+            alice, victor = closed_form_reference(still)
+            assert (alice, victor) == closed_form_reference(locked)
+            assert None not in alice + victor
     # any positive rms is a jitter
     tiny = PhaseJitter(theta_b_rms=5e-324)
     assert ChainConfig(jitter=tiny).jitter is tiny

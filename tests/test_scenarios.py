@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from cvteleport.cli import main
 from cvteleport.scenarios import MAX_GRID_POINTS, PRESETS, Fig2Params, \
-    Fig3Params, Fig7Params, RunOptions, _linspace, _pump_grid_mw, _within_3se, \
-    apply_overrides, get_preset, list_presets, run_preset
+    Fig3Params, Fig7Params, OracleGridParams, RunOptions, _linspace, \
+    _pump_grid_mw, _within_3se, apply_overrides, get_preset, grid_configs, \
+    list_presets, run_preset
 
 REQUIRED = {"fig2", "fig3", "fig4", "fig7", "opo-gain", "fidelity-anchors",
             "fig16-fidelity-vs-pump", "epr-backprop", "channel-cancellation",
@@ -203,6 +204,17 @@ def test_oracle_grid_reduced_samples():
     assert by_name["compared cells"].value == 118.0
     assert by_name["cells within 3 standard errors (count)"].passed
     assert len(result.rows) == 118
+    # four rows for each of the 27 Gaussian configs, then the verifier's two
+    # for each of the 5 jitter configs, which have no sender reference
+    labels = [label for label, _ in grid_configs(OracleGridParams(), seed=0)]
+    gaussian, jittered = labels[:27], labels[27:]
+    assert len(jittered) == 5
+    assert all(label.startswith("jitter_") for label in jittered)
+    assert not any(label.startswith("jitter_") for label in gaussian)
+    observables = ("sigma_v_x", "sigma_v_p", "sigma_a_x", "sigma_a_p")
+    expected = [(label, name) for label in gaussian for name in observables] \
+        + [(label, name) for label in jittered for name in observables[:2]]
+    assert [row[:2] for row in result.rows] == expected
 
 
 def test_within_3se_grades_the_count():

@@ -127,6 +127,22 @@ def test_coherent_amplitude():
         CoherentAmplitude(power=-1.0)
 
 
+@pytest.mark.parametrize("cls, args, match", [
+    (GainSettings, (math.nan,), "g_x must be finite"),
+    (GainSettings, (math.inf,), "g_x must be finite"),
+    (GainSettings, (1.0, -math.inf), "g_p must be finite"),
+    (GainSettings, (1.0, -0.5), "g_p must be >= 0"),
+    (CoherentAmplitude, (math.nan,), "power must be finite"),
+    (CoherentAmplitude, (math.inf,), "power must be finite"),
+    (CoherentAmplitude, (1.0, math.nan), "phase must be finite"),
+    (CoherentAmplitude, (1.0, math.inf), "phase must be finite"),
+])
+def test_gains_and_amplitudes_must_be_finite(cls, args, match):
+    # a NaN gain passed the sign test and gave a NaN verifier variance
+    with pytest.raises(ValueError, match=match):
+        cls(*args)
+
+
 def test_fidelity_anchors():
     assert fidelity(3.0, 3.0) == 0.5
     measured = from_db(3.54)
